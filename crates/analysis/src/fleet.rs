@@ -178,7 +178,8 @@ pub fn scenario_sweep(
 }
 
 /// Summarises already-computed scenario slices (no re-assessment) — from
-/// an [`easyc::AssessmentOutput`] or the legacy `BatchOutput`.
+/// an [`easyc::AssessmentOutput`] (an in-memory session or a resident
+/// query).
 pub fn summarize_slices(slices: &[ScenarioSlice]) -> Vec<ScenarioSummary> {
     slices
         .iter()

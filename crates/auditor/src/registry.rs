@@ -96,7 +96,7 @@ pub const REGISTRY: &[Rule] = &[
     Rule {
         id: "panic-surface",
         summary: "unwrap/expect/panic!/call-result indexing on serve's request lifecycle and easyc hot paths must carry an `// audit: allow(panic-surface) — reason` justification or be refactored into structured errors",
-        scope: "fns in crates/serve and the easyc hot-path modules (session, stream, state, partial, columns) reachable from the request/assessment entry points",
+        scope: "fns in crates/serve and the easyc hot-path modules (session, stream, state, engine, partial, columns) reachable from the request/assessment entry points",
         kind: RuleKind::Semantic,
     },
     Rule {

@@ -84,6 +84,7 @@ fn is_panic_scope(path: &str) -> bool {
         "crates/easyc/src/state.rs",
         "crates/easyc/src/partial.rs",
         "crates/easyc/src/columns.rs",
+        "crates/easyc/src/engine.rs",
     ];
     path.starts_with("crates/serve/src/") || EASYC_HOT.contains(&path)
 }

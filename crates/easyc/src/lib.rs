@@ -62,7 +62,9 @@
 //! same plan incrementally over any chunked
 //! [`top500::stream::FleetChunks`] source, folding per-chunk results into
 //! totals, coverage and intervals that are bit-identical to the in-memory
-//! session — see [`stream`].
+//! session — see [`stream`]. Both, and the resident [`state::QueryPlan`],
+//! are one builder over one chunk engine: the in-memory session is a
+//! single chunk, the stream one call per chunk.
 //!
 //! The module structure mirrors the paper, plus the execution layers:
 //!
@@ -79,7 +81,12 @@
 //!   ([`scenario::ScenarioMatrix`]).
 //! - [`view`] — the borrowed, field-level scenario lenses
 //!   ([`view::FleetView`], [`view::SystemView`]).
-//! - [`session`] — the unified [`session::Assessment`] builder/session.
+//! - [`session`] — the one builder ([`session::Session`], named
+//!   [`Assessment`], [`StreamingAssessment`] or [`QueryPlan`] by source)
+//!   and the one output shell ([`session::SessionOutput`]).
+//! - `engine` — the crate-internal chunk engine every session runs:
+//!   extraction, (scenario × sub-chunk) estimation, fold and blocked draws
+//!   over one chunk at its global first row.
 //! - [`stream`] — the incremental (chunked, larger-than-memory) session.
 //! - [`partial`] — the mergeable, retractable fold state both sessions
 //!   accumulate through ([`partial::PartialAssessment`]): absorb footprint
@@ -90,7 +97,7 @@
 //!   [`state::FleetState`] (parsed list, Phase-1 metrics, columnar layout
 //!   and a content-hash-keyed footprint cache) answering cheap borrowed
 //!   [`state::QueryPlan`]s, bit-identical to a cold session.
-//! - [`batch`] — the staged context machinery behind the session.
+//! - [`batch`] — per-record assessment and the columnar result layout.
 //! - [`estimator`] — the per-system facade, routed through the same code
 //!   path as the session.
 //! - [`uncertainty`] — Monte-Carlo bands under one [`uncertainty::DrawPlan`]
@@ -102,6 +109,7 @@ pub mod batch;
 pub mod columns;
 pub mod coverage;
 pub mod embodied;
+mod engine;
 pub mod error;
 pub mod estimator;
 pub mod fold;
@@ -115,7 +123,7 @@ pub mod stream;
 pub mod uncertainty;
 pub mod view;
 
-pub use batch::{AssessmentContext, BatchOutput, ScenarioSlice};
+pub use batch::ScenarioSlice;
 pub use columns::FleetColumns;
 pub use coverage::{coverage, CoverageReport, Scenario};
 pub use embodied::{EmbodiedBreakdown, EmbodiedEstimate};

@@ -72,6 +72,7 @@
 //! bit-identical to a partial rebuilt from scratch without the retracted
 //! rows (pinned by `tests/proptests.rs` at arbitrary cuts).
 
+use crate::coverage::CoverageReport;
 use crate::estimator::SystemFootprint;
 use crate::fold;
 use std::fmt;
@@ -342,6 +343,18 @@ pub struct FleetTotals {
     /// Retained per-sample embodied draw sums (empty when no system was
     /// embodied-covered).
     pub emb_draws: Vec<f64>,
+}
+
+impl FleetTotals {
+    /// Coverage counts of the absorbed rows — the fold already counted
+    /// them, so no second pass over the footprints is needed.
+    pub(crate) fn coverage(&self) -> CoverageReport {
+        CoverageReport {
+            operational: self.op_covered,
+            embodied: self.emb_covered,
+            total: self.total,
+        }
+    }
 }
 
 /// Mergeable fold state over rank ranges — see the [module docs](self).

@@ -1,10 +1,11 @@
-//! The unified assessment session — one entry point for every workload.
+//! The assessment session — one builder and one output for every way of
+//! running EasyC.
 //!
 //! The model used to be reachable through four separate doors: `EasyC`
 //! (per-system and per-list), `BatchEngine` (scenario matrices),
 //! `uncertainty::scenario_intervals` (Monte-Carlo bands) and
 //! `analysis::sensitivity` (scenario deltas), each wiring the stages by
-//! hand. An [`Assessment`] plans the whole job once instead:
+//! hand. A [`Session`] plans the whole job once instead:
 //!
 //! ```text
 //! Assessment::of(&list)            borrow the fleet
@@ -14,86 +15,198 @@
 //!     .run()                       plan + execute
 //! ```
 //!
-//! `run()` builds one [`FleetView`] per scenario (zero record clones — the
-//! mask is a lens, not a copy), splits the list into contiguous chunks of
-//! roughly `workers × items_per_worker` work items (default 4× the pool —
-//! fine enough that one slow chunk cannot idle the rest of the pool, see
-//! [`Assessment::items_per_worker`]), and interleaves every
-//! **(scenario × chunk)** work item on a single
-//! [`parallel::pool::ThreadPool`]: wide matrices no longer walk scenarios
-//! sequentially, so a slow scenario cannot leave workers idle while others
-//! wait. Output order is deterministic and bit-identical to the serial
-//! per-system path at any worker count *and any chunk granularity* — every
-//! item writes disjoint, pre-planned output slots and the per-record math
-//! runs through the columnar kernels
-//! ([`crate::operational::estimate_columns`] /
-//! [`crate::embodied::estimate_columns`] over one shared
-//! [`crate::columns::FleetColumns`] layout), which are pinned bit-identical
-//! to the row-at-a-time [`crate::operational::estimate_view`] /
-//! [`crate::embodied::estimate_view`] reference.
+//! The builder is generic over where the fleet comes from, and each source
+//! has a name: [`Assessment`] borrows a list, [`StreamingAssessment`] pulls
+//! chunks from a [`FleetChunks`] source (see [`crate::stream`]), and
+//! [`QueryPlan`] borrows a resident [`FleetState`]. They share every
+//! setter below and run the same crate-internal chunk engine: the
+//! in-memory session is one chunk at row 0 whose footprints are kept, so
+//! its results are bit-identical to the serial per-system path at any
+//! worker count *and any chunk granularity*, and to a stream over the
+//! same systems.
 //!
-//! With `uncertainty(draws)`, a third phase schedules blocked
-//! (sample-chunk × scenario) items on the same pool, driven by one
-//! [`crate::uncertainty::DrawPlan`]: RNG streams are keyed by (system,
-//! draw index) — never by scenario — so every scenario replays identical
-//! per-system perturbations (common random numbers), and each work item
-//! computes its samples' factors and noise column once, sweeping them over
-//! every scenario's pre-hoisted factor columns. The output carries
-//! fleet-total *operational* **and** *embodied* [`Interval`]s per scenario
-//! (bit-identical to the serial [`DrawPlan`] kernels) plus the retained
-//! per-scenario draw vectors, which [`AssessmentOutput::compare`] pairs
-//! into tight [`ScenarioDelta`] difference intervals.
+//! With `uncertainty(draws)`, the engine's draw phase runs blocked
+//! (sample-chunk × scenario) items driven by one [`DrawPlan`]: RNG streams
+//! are keyed by (system, draw index) — never by scenario — so every
+//! scenario replays identical per-system perturbations (common random
+//! numbers). The output carries fleet-total *operational* **and**
+//! *embodied* [`Interval`]s per scenario plus the retained per-scenario
+//! draw vectors, which [`SessionOutput::compare`] pairs into tight
+//! [`ScenarioDelta`] difference intervals.
 //!
-//! For fleets too large to hold, [`Assessment::stream`] runs the same
-//! plan incrementally over a chunked source — see [`crate::stream`].
+//! [`StreamingAssessment`]: crate::stream::StreamingAssessment
+//! [`QueryPlan`]: crate::state::QueryPlan
+//! [`FleetState`]: crate::state::FleetState
 
-use crate::batch::{assess_columns, AssessmentContext, BatchOutput, ScenarioSlice};
+use crate::batch::{slices_to_frame, ScenarioSlice};
 use crate::columns::FleetColumns;
-use crate::coverage::CoverageReport;
-use crate::embodied::EmbodiedEstimate;
+use crate::engine::Engine;
 use crate::estimator::{EasyCConfig, SystemFootprint};
 use crate::metrics::SevenMetrics;
-use crate::operational::OperationalEstimate;
-use crate::partial::PartialAssessment;
+use crate::partial::FleetTotals;
 use crate::scenario::{DataScenario, ScenarioMatrix};
-use crate::stream::StreamingAssessment;
+use crate::stream::{ChunkSource, StreamingAssessment};
 use crate::uncertainty::{
-    embodied_block_accumulate, embodied_factors, fleet_factors, operational_block_accumulate,
-    operational_noise, DrawPlan, EmbFactorColumns, Interval, OpFactorColumns, PriorUncertainty,
-    RetainedDraws, ScenarioDelta, ScenarioDraws,
+    DrawPlan, Interval, PriorUncertainty, RetainedDraws, ScenarioDelta, ScenarioDraws,
 };
-use crate::view::FleetView;
 use frame::DataFrame;
-use parallel::pool::ThreadPool;
+use std::collections::HashMap;
 use top500::list::Top500List;
 use top500::stream::FleetChunks;
 
-/// What the session assesses: a bare list (metrics extracted by the
-/// session itself, on the pool) or a pre-built context whose extraction is
-/// reused.
-enum Source<'a> {
-    List(&'a Top500List),
-    Context(&'a AssessmentContext<'a>),
-}
-
-/// Builder/session for a planned, pool-executed fleet assessment.
-///
-/// See the [module docs](self) for the execution model. All builder
-/// methods are by-value; finish with [`Assessment::run`].
-pub struct Assessment<'a> {
-    source: Source<'a>,
+/// Builder for a planned, pool-executed fleet assessment over the source
+/// `Src`. Use it through its named forms — [`Assessment`],
+/// [`StreamingAssessment`] and [`crate::state::QueryPlan`]. All builder
+/// methods are by-value; finish with `run`.
+pub struct Session<Src> {
+    pub(crate) source: Src,
     config: EasyCConfig,
     matrix: Option<ScenarioMatrix>,
     plan: DrawPlan,
     items_per_worker: usize,
 }
 
+/// Session over a borrowed list — see the [module docs](self).
+pub type Assessment<'a> = Session<&'a Top500List>;
+
 /// Default work-item oversubscription: ~4 chunks per worker, so a skewed
 /// chunk (one giant system, a cache-cold stretch) stops one worker for a
 /// quarter of a share instead of idling the whole pool at the tail.
-pub(crate) const DEFAULT_ITEMS_PER_WORKER: usize = 4;
+const DEFAULT_ITEMS_PER_WORKER: usize = 4;
 
-impl<'a> Assessment<'a> {
+pub(crate) mod sealed {
+    /// Sources whose session may replace its whole configuration: a list
+    /// or a stream. A resident [`crate::state::FleetState`]'s configuration
+    /// keys its footprint cache, so its queries keep the state's.
+    pub trait OwnsConfig {}
+}
+
+impl sealed::OwnsConfig for &Top500List {}
+
+impl<Src> Session<Src> {
+    pub(crate) fn new(source: Src, config: EasyCConfig) -> Session<Src> {
+        Session {
+            source,
+            config,
+            matrix: None,
+            plan: DrawPlan::default(),
+            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
+        }
+    }
+
+    /// Sets the worker-pool size for this session.
+    pub fn workers(mut self, workers: usize) -> Session<Src> {
+        self.config.workers = workers.max(1);
+        self
+    }
+
+    /// Assesses one explicit scenario (replacing the default
+    /// configuration-implied scenario or any previous matrix).
+    pub fn scenario(mut self, scenario: DataScenario) -> Session<Src> {
+        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
+        self
+    }
+
+    /// Assesses a whole scenario matrix in one interleaved pass (per
+    /// chunk, when streaming).
+    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> Session<Src> {
+        self.matrix = Some(matrix.clone());
+        self
+    }
+
+    /// Requests Monte-Carlo fleet-total intervals (operational and
+    /// embodied) with this many draws per scenario (0 = skip, the
+    /// default). All scenarios replay the same per-system perturbations
+    /// (common random numbers), so [`SessionOutput::compare`] can pair
+    /// them into tight difference intervals.
+    pub fn uncertainty(mut self, draws: usize) -> Session<Src> {
+        self.plan.draws = draws;
+        self
+    }
+
+    /// Confidence level of the intervals (default 0.95).
+    pub fn confidence(mut self, level: f64) -> Session<Src> {
+        self.plan.level = level;
+        self
+    }
+
+    /// RNG seed for the Monte-Carlo draws (default 0). Results are
+    /// reproducible and independent of worker count and chunking for a
+    /// given seed.
+    pub fn seed(mut self, seed: u64) -> Session<Src> {
+        self.plan.seed = seed;
+        self
+    }
+
+    /// Prior uncertainty widths used by the Monte-Carlo draws.
+    pub fn priors(mut self, priors: PriorUncertainty) -> Session<Src> {
+        self.plan.priors = priors;
+        self
+    }
+
+    /// Replaces the whole [`DrawPlan`] (draws, level, seed and priors) in
+    /// one call.
+    pub fn draw_plan(mut self, plan: DrawPlan) -> Session<Src> {
+        self.plan = plan;
+        self
+    }
+
+    /// Work items planned per worker (default 4). Each phase splits its
+    /// rows (or samples) into `workers × items_per_worker` contiguous
+    /// chunks; finer chunks interleave better on skewed lists, coarser
+    /// chunks have less dispatch overhead. Results are bit-identical at any
+    /// granularity — this is purely a scheduler knob (pinned by
+    /// `tests/batch_matrix`).
+    pub fn items_per_worker(mut self, items: usize) -> Session<Src> {
+        self.items_per_worker = items.max(1);
+        self
+    }
+
+    /// Plans the engine for this session, returning the scenarios as
+    /// displayed (slice labels) alongside it.
+    pub(crate) fn engine(&self) -> (Vec<DataScenario>, Engine) {
+        let (display, effective) = plan_scenarios(self.matrix.as_ref(), &self.config);
+        let engine = Engine::new(
+            effective,
+            self.plan,
+            self.config.workers,
+            self.items_per_worker,
+        );
+        (display, engine)
+    }
+
+    /// Runs the engine over the whole fleet as one chunk at row 0, keeping
+    /// every scenario's footprints — the in-memory session and the
+    /// resident query.
+    pub(crate) fn run_whole<'c>(
+        &self,
+        list: &Top500List,
+        prepared: Option<(&[SevenMetrics], &FleetColumns)>,
+        cached: impl Fn(&DataScenario) -> Option<&'c [SystemFootprint]>,
+    ) -> AssessmentOutput {
+        let (display, mut engine) = self.engine();
+        let mut kept: Vec<Vec<SystemFootprint>> = display.iter().map(|_| Vec::new()).collect();
+        engine.assess_chunk(list, prepared, cached, |index, footprints| {
+            kept[index] = footprints.into_owned();
+        });
+        let mut kept = kept.into_iter();
+        SessionOutput::from_engine(engine, display, |scenario, totals| ScenarioSlice {
+            scenario,
+            footprints: kept.next().unwrap_or_default(),
+            coverage: totals.coverage(),
+        })
+    }
+}
+
+impl<Src: sealed::OwnsConfig> Session<Src> {
+    /// Replaces the whole configuration (priors, lifetime, workers).
+    pub fn config(mut self, config: EasyCConfig) -> Session<Src> {
+        self.config = config;
+        self
+    }
+}
+
+impl<'a> Session<&'a Top500List> {
     /// Session over a borrowed list.
     ///
     /// ```
@@ -110,13 +223,7 @@ impl<'a> Assessment<'a> {
     /// assert!(slice.footprints.iter().any(|fp| fp.operational.is_ok()));
     /// ```
     pub fn of(list: &'a Top500List) -> Assessment<'a> {
-        Assessment {
-            source: Source::List(list),
-            config: EasyCConfig::default(),
-            matrix: None,
-            plan: DrawPlan::default(),
-            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
-        }
+        Session::new(list, EasyCConfig::default())
     }
 
     /// Incremental session over a chunked fleet source — the
@@ -148,433 +255,19 @@ impl<'a> Assessment<'a> {
     /// assert!(output.peak_chunk_rows() <= 16);
     /// ```
     pub fn stream<'sink, S: FleetChunks>(source: S) -> StreamingAssessment<'sink, S> {
-        StreamingAssessment::new(source)
-    }
-
-    /// Session over a pre-built [`AssessmentContext`], reusing its metric
-    /// extraction (useful when many sessions share one list).
-    pub fn over(ctx: &'a AssessmentContext<'a>) -> Assessment<'a> {
-        let mut session = Assessment::of(ctx.list());
-        session.source = Source::Context(ctx);
-        session
-    }
-
-    /// Replaces the whole configuration (priors, lifetime, workers).
-    pub fn config(mut self, config: EasyCConfig) -> Assessment<'a> {
-        self.config = config;
-        self
-    }
-
-    /// Sets the worker-pool size for this session.
-    pub fn workers(mut self, workers: usize) -> Assessment<'a> {
-        self.config.workers = workers.max(1);
-        self
-    }
-
-    /// Assesses one explicit scenario (replacing the default
-    /// configuration-implied scenario or any previous matrix).
-    pub fn scenario(mut self, scenario: DataScenario) -> Assessment<'a> {
-        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
-        self
-    }
-
-    /// Assesses a whole scenario matrix in one interleaved pass.
-    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> Assessment<'a> {
-        self.matrix = Some(matrix.clone());
-        self
-    }
-
-    /// Requests Monte-Carlo fleet-total intervals (operational and
-    /// embodied) with this many draws per scenario (0 = skip, the
-    /// default). All scenarios replay the same per-system perturbations
-    /// (common random numbers), so [`AssessmentOutput::compare`] can pair
-    /// them into tight difference intervals.
-    pub fn uncertainty(mut self, draws: usize) -> Assessment<'a> {
-        self.plan.draws = draws;
-        self
-    }
-
-    /// Confidence level of the intervals (default 0.95).
-    pub fn confidence(mut self, level: f64) -> Assessment<'a> {
-        self.plan.level = level;
-        self
-    }
-
-    /// RNG seed for the Monte-Carlo draws (default 0). Results are
-    /// reproducible and independent of worker count for a given seed.
-    pub fn seed(mut self, seed: u64) -> Assessment<'a> {
-        self.plan.seed = seed;
-        self
-    }
-
-    /// Prior uncertainty widths used by the Monte-Carlo draws.
-    pub fn priors(mut self, priors: PriorUncertainty) -> Assessment<'a> {
-        self.plan.priors = priors;
-        self
-    }
-
-    /// Replaces the whole [`DrawPlan`] (draws, level, seed and priors) in
-    /// one call.
-    pub fn draw_plan(mut self, plan: DrawPlan) -> Assessment<'a> {
-        self.plan = plan;
-        self
-    }
-
-    /// Work items planned per worker (default 4). The plan splits each
-    /// scenario's list into `workers × items_per_worker` contiguous chunks;
-    /// finer chunks interleave better on skewed lists, coarser chunks have
-    /// less dispatch overhead. Results are bit-identical at any granularity
-    /// — this is purely a scheduler knob (pinned by `tests/batch_matrix`).
-    pub fn items_per_worker(mut self, items: usize) -> Assessment<'a> {
-        self.items_per_worker = items.max(1);
-        self
+        Session::new(ChunkSource::new(source), EasyCConfig::default())
     }
 
     /// Plans and executes the session; see the [module docs](self).
     pub fn run(self) -> AssessmentOutput {
-        let workers = self.config.workers.max(1);
-        let list = match self.source {
-            Source::List(list) => list,
-            Source::Context(ctx) => ctx.list(),
-        };
-        // The scenarios as displayed (slice labels) and as computed
-        // (scenario overrides win over configuration overrides, matching
-        // the serial `EasyC::assess_scenario` semantics).
-        let (display, effective) = plan_scenarios(self.matrix.as_ref(), &self.config);
-
-        let n = list.len();
-        let chunks = parallel::split_ranges(n, workers * self.items_per_worker);
-        // One pool for every phase; `None` runs the plan inline (workers=1
-        // keeps the calling thread, so e.g. thread-local clone counters in
-        // tests observe the whole execution).
-        let pool = (workers > 1).then(|| ThreadPool::new(workers));
-
-        // Phase 1 — metric extraction, chunk-parallel on the pool (skipped
-        // when a pre-built context already carries it).
-        let extracted: Vec<SevenMetrics>;
-        let metrics: &[SevenMetrics] = match self.source {
-            Source::Context(ctx) => ctx.metrics(),
-            Source::List(list) => {
-                let mut slots: Vec<Option<SevenMetrics>> = Vec::with_capacity(n);
-                slots.resize_with(n, || None);
-                {
-                    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(chunks.len());
-                    let mut rest = slots.as_mut_slice();
-                    for range in &chunks {
-                        let (chunk, tail) = rest.split_at_mut(range.len());
-                        rest = tail;
-                        // audit: allow(panic-surface) — the chunk plan partitions 0..len, so every range is in bounds
-                        let records = &list.systems()[range.clone()];
-                        jobs.push(Box::new(move || {
-                            for (slot, record) in chunk.iter_mut().zip(records) {
-                                *slot = Some(SevenMetrics::extract(record));
-                            }
-                        }));
-                    }
-                    execute(pool.as_ref(), jobs);
-                }
-                extracted = slots
-                    .into_iter()
-                    // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
-                    .map(|m| m.expect("every extraction chunk ran"))
-                    .collect();
-                &extracted
-            }
-        };
-
-        // Phases 2–3 — shared with the resident [`crate::state::QueryPlan`]
-        // path, which supplies a pre-built columnar layout and (when warm)
-        // cached footprints instead of re-estimating. A cold session caches
-        // nothing, so `run_planned_phases` computes every scenario.
-        let columns = FleetColumns::build(list, metrics);
-        let cached: Vec<Option<&[SystemFootprint]>> = effective.iter().map(|_| None).collect();
-        run_planned_phases(
-            &PhaseInput {
-                list,
-                metrics,
-                columns: &columns,
-                cached: &cached,
-            },
-            display,
-            &effective,
-            self.plan,
-            workers,
-            self.items_per_worker,
-            pool.as_ref(),
-        )
+        self.run_whole(self.source, None, |_| None)
     }
-}
-
-/// The fleet data phases 2–3 read: where the records, Phase-1 metrics and
-/// columnar layout live (a cold session builds them per run; a resident
-/// [`crate::state::FleetState`] keeps them warm), plus per-effective-
-/// scenario cached footprints that let phase 2 skip re-estimation.
-pub(crate) struct PhaseInput<'a> {
-    /// The fleet records.
-    pub list: &'a Top500List,
-    /// Phase-1 metrics, one per record.
-    pub metrics: &'a [SevenMetrics],
-    /// The struct-of-arrays layout phase 2's kernels read.
-    pub columns: &'a FleetColumns,
-    /// Per-effective-scenario cached footprints (same order as the
-    /// `effective` list). `Some` skips phase 2 for that scenario — valid
-    /// only when the cache was produced by these same kernels over this
-    /// same fleet, which is exactly what the resident state guarantees.
-    pub cached: &'a [Option<&'a [SystemFootprint]>],
-}
-
-/// Phase 2 (columnar scenario assessment, with cache reuse) and phase 3
-/// (blocked Monte-Carlo draws) over pre-extracted fleet data — the shared
-/// engine behind [`Assessment::run`] and [`crate::state::QueryPlan::run`].
-/// Bit-identical at any worker count, chunk granularity, and cache
-/// temperature: a cached scenario's footprints are the same bits phase 2
-/// would recompute, so every downstream fold sees identical terms.
-pub(crate) fn run_planned_phases(
-    input: &PhaseInput<'_>,
-    display: Vec<DataScenario>,
-    effective: &[DataScenario],
-    plan: DrawPlan,
-    workers: usize,
-    items_per_worker: usize,
-    pool: Option<&ThreadPool>,
-) -> AssessmentOutput {
-    let n = input.list.len();
-    let chunks = parallel::split_ranges(n, workers * items_per_worker);
-    // Phase 2 — the (scenario × chunk) plan, interleaved on the pool.
-    // Each item owns a disjoint slice of one scenario's output, so the
-    // result is deterministic regardless of scheduling. The per-record
-    // math runs through the columnar kernels over one [`FleetColumns`]
-    // layout shared by every scenario — bit-identical to the row-at-a-time
-    // `assess_view` reference (pinned by the session tests and
-    // `tests/proptests.rs`). Scenarios with cached footprints skip their
-    // jobs entirely: the resident state already holds the same bits.
-    let mut outputs: Vec<Option<Vec<Option<SystemFootprint>>>> = effective
-        .iter()
-        .zip(input.cached)
-        .map(|(_, cached)| {
-            cached.is_none().then(|| {
-                let mut v = Vec::with_capacity(n);
-                v.resize_with(n, || None);
-                v
-            })
-        })
-        .collect();
-    {
-        let columns = input.columns;
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(effective.len() * chunks.len());
-        for (scenario, out) in effective.iter().zip(outputs.iter_mut()) {
-            let Some(out) = out.as_mut() else { continue };
-            let view = FleetView::new(input.list, input.metrics, scenario);
-            let mut rest = out.as_mut_slice();
-            for range in &chunks {
-                let (chunk, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    assess_columns(columns, &view, range, chunk);
-                }));
-            }
-        }
-        execute(pool, jobs);
-    }
-    let slices: Vec<ScenarioSlice> = display
-        .into_iter()
-        .zip(outputs)
-        .zip(input.cached)
-        .map(|((scenario, out), cached)| {
-            let footprints: Vec<SystemFootprint> = match out {
-                Some(out) => out
-                    .into_iter()
-                    // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
-                    .map(|f| f.expect("every assessment chunk ran"))
-                    .collect(),
-                // audit: allow(panic-surface) — the planner caches exactly the scenarios it skips
-                None => cached.expect("uncomputed scenarios carry a cache").to_vec(),
-            };
-            let coverage = CoverageReport::from_footprints(&footprints);
-            ScenarioSlice {
-                scenario,
-                footprints,
-                coverage,
-            }
-        })
-        .collect();
-
-    // Phase 3 — optional Monte-Carlo draws, (scenario × draw-chunk)
-    // items on the same pool, operational and embodied interleaved
-    // together. Bases are the Ok estimates of phase 2 tagged with
-    // their global list index (the CRN stream key), so no estimator
-    // runs twice and every scenario shares per-system perturbations.
-    let retained = if plan.draws > 0 {
-        run_draws(plan, workers, items_per_worker, &slices, pool)
-    } else {
-        slices.iter().map(|_| ScenarioDraws::default()).collect()
-    };
-
-    AssessmentOutput::new(slices, retained, plan)
-}
-
-/// Runs the blocked (sample-chunk × scenario) Monte-Carlo plan and
-/// returns the retained per-scenario draw state. Each work item owns
-/// one disjoint sample range of **every** scenario's draw buffer: the
-/// per-sample systematic factors and the idiosyncratic noise column are
-/// scenario-invariant under the CRN keying, so one job computes them
-/// once and sweeps each scenario's [`OpFactorColumns`] /
-/// [`EmbFactorColumns`] lanes over them. Bit-identical to the serial
-/// [`DrawPlan::operational_draws`] / [`DrawPlan::embodied_draws`]
-/// reference kernels (pinned by `tests/batch_matrix.rs` and proptests).
-/// The draws are a pure function of the footprint bases and the plan —
-/// independent of whether phase 2 computed the bases or a resident cache
-/// supplied them — which is what makes warm intervals bit-identical.
-fn run_draws(
-    plan: DrawPlan,
-    workers: usize,
-    items_per_worker: usize,
-    slices: &[ScenarioSlice],
-    pool: Option<&ThreadPool>,
-) -> Vec<ScenarioDraws> {
-    // Ok operational estimates tagged with the system's global list
-    // position — the scenario-independent stream index.
-    let op_bases: Vec<Vec<(usize, OperationalEstimate)>> = slices
-        .iter()
-        .map(|slice| {
-            slice
-                .footprints
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| f.operational.as_ref().ok().cloned().map(|op| (i, op)))
-                .collect()
-        })
-        .collect();
-    let emb_bases: Vec<Vec<EmbodiedEstimate>> = slices
-        .iter()
-        .map(|slice| {
-            slice
-                .footprints
-                .iter()
-                .filter_map(|f| f.embodied.as_ref().ok().cloned())
-                .collect()
-        })
-        .collect();
-    // Per-scenario factor columns, hoisted once for the whole phase.
-    let op_cols: Vec<OpFactorColumns> = op_bases
-        .iter()
-        .map(|b| OpFactorColumns::from_bases(b))
-        .collect();
-    let emb_cols: Vec<EmbFactorColumns> = emb_bases
-        .iter()
-        .map(|b| EmbFactorColumns::from_bases(b))
-        .collect();
-    // Rows the shared noise column spans: every scenario's indices are
-    // global list positions in `0..n`.
-    let n = slices.first().map_or(0, |s| s.footprints.len());
-    let op_streams = plan.operational_streams();
-    let emb_streams = plan.embodied_streams();
-    let sample_chunks = parallel::split_ranges(plan.draws, workers * items_per_worker);
-    // One [`PartialAssessment`] per scenario: absorbing the whole
-    // footprint slice at row 0 repeats the serial left fold over the
-    // covered `mt_co2e` terms (the point totals), and its draw slots
-    // are the per-sample buffers the blocked kernels accumulate into.
-    let mut partials: Vec<PartialAssessment> = slices
-        .iter()
-        .map(|slice| {
-            let mut partial = PartialAssessment::identity(plan.draws);
-            partial.absorb(0, &slice.footprints);
-            partial
-        })
-        .collect();
-    {
-        // Transpose the per-scenario buffers into per-sample-chunk work
-        // items: item j owns samples `sample_chunks[j]` of every
-        // covered scenario, as (scenario index, buffer sub-slice).
-        let mut op_parts: Vec<Vec<(usize, &mut [f64])>> =
-            sample_chunks.iter().map(|_| Vec::new()).collect();
-        let mut emb_parts: Vec<Vec<(usize, &mut [f64])>> =
-            sample_chunks.iter().map(|_| Vec::new()).collect();
-        for (scenario, partial) in partials.iter_mut().enumerate() {
-            let has_op = !op_bases[scenario].is_empty();
-            let has_emb = !emb_bases[scenario].is_empty();
-            if !has_op && !has_emb {
-                continue;
-            }
-            let (op_buffer, emb_buffer) = partial
-                .draw_slots()
-                // audit: allow(panic-surface) — guarded by the has_op/has_emb coverage test above
-                .expect("covered scenarios absorbed a non-empty slice");
-            if has_op {
-                let split = parallel::split_mut_by_ranges(op_buffer, &sample_chunks);
-                for (item, part) in op_parts.iter_mut().zip(split) {
-                    item.push((scenario, part));
-                }
-            }
-            if has_emb {
-                let split = parallel::split_mut_by_ranges(emb_buffer, &sample_chunks);
-                for (item, part) in emb_parts.iter_mut().zip(split) {
-                    item.push((scenario, part));
-                }
-            }
-        }
-        let op_cols = &op_cols;
-        let emb_cols = &emb_cols;
-        let op_streams = &op_streams;
-        let emb_streams = &emb_streams;
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(sample_chunks.len());
-        for ((range, mut op_item), mut emb_item) in
-            sample_chunks.iter().cloned().zip(op_parts).zip(emb_parts)
-        {
-            if op_item.is_empty() && emb_item.is_empty() {
-                continue;
-            }
-            let priors = plan.priors;
-            jobs.push(Box::new(move || {
-                let mut noise = vec![0.0f64; if op_item.is_empty() { 0 } else { n }];
-                for (k, sample) in range.clone().enumerate() {
-                    if !op_item.is_empty() {
-                        let factors = fleet_factors(op_streams, &priors, sample);
-                        operational_noise(op_streams, sample, 0, &mut noise);
-                        for (scenario, part) in op_item.iter_mut() {
-                            operational_block_accumulate(
-                                &op_cols[*scenario],
-                                &factors,
-                                &noise,
-                                0,
-                                &mut part[k],
-                            );
-                        }
-                    }
-                    if !emb_item.is_empty() {
-                        let factors = embodied_factors(emb_streams, &priors, sample);
-                        for (scenario, part) in emb_item.iter_mut() {
-                            embodied_block_accumulate(&emb_cols[*scenario], &factors, &mut part[k]);
-                        }
-                    }
-                }
-            }));
-        }
-        execute(pool, jobs);
-    }
-    partials
-        .into_iter()
-        .map(|partial| {
-            // Single-segment partials collapse verbatim: the absorbed
-            // point totals and the kernel-filled draw buffers come
-            // back untouched, with uncovered families' buffers dropped
-            // — the engine's retention policy.
-            let totals = partial.finish();
-            ScenarioDraws {
-                op_point: totals.operational_mt,
-                op: totals.op_draws,
-                emb_point: totals.embodied_mt,
-                emb: totals.emb_draws,
-            }
-        })
-        .collect()
 }
 
 /// Resolves the scenario matrix into (display, effective) scenario lists:
 /// `display` carries the slice labels verbatim, `effective` merges the
-/// configuration overrides underneath each scenario's own (scenario wins).
-/// Shared by the in-memory and streaming sessions.
+/// configuration overrides underneath each scenario's own (scenario wins,
+/// matching the serial `EasyC::assess_scenario` semantics).
 pub(crate) fn plan_scenarios(
     matrix: Option<&ScenarioMatrix>,
     config: &EasyCConfig,
@@ -594,80 +287,136 @@ pub(crate) fn plan_scenarios(
     (display, effective)
 }
 
-pub(crate) type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Dispatches planned work items: interleaved on the pool when one exists,
-/// in plan order on the calling thread otherwise. Either way every item
-/// runs exactly once before this returns.
-pub(crate) fn execute<'env>(pool: Option<&ThreadPool>, jobs: Vec<Job<'env>>) {
-    match pool {
-        Some(pool) => pool.scope(|scope| {
-            for job in jobs {
-                scope.spawn(job);
-            }
-        }),
-        None => {
-            for job in jobs {
-                job();
-            }
-        }
-    }
-}
-
-/// Results of one [`Assessment::run`]: per-scenario slices (matrix order)
-/// with O(1) lookup by name, plus optional Monte-Carlo intervals
-/// (operational and embodied) and the retained per-scenario draw vectors
-/// behind them — paired across scenarios by the session's common random
-/// numbers, which is what [`AssessmentOutput::compare`] folds into tight
-/// [`ScenarioDelta`] difference intervals. The slices and their name index
-/// live in an inner [`BatchOutput`], so both output types share one lookup
-/// policy (first occurrence wins).
+/// Results of one session run: per-scenario slices of type `S` (matrix
+/// order) with O(1) lookup by name — first occurrence wins — plus the
+/// retained per-scenario Monte-Carlo draw vectors, paired across scenarios
+/// by the session's common random numbers, which is what
+/// [`SessionOutput::compare`] folds into tight [`ScenarioDelta`]
+/// difference intervals. Use it through its named forms:
+/// [`AssessmentOutput`] keeps every footprint, and
+/// [`crate::stream::StreamOutput`] keeps folded totals.
 #[derive(Debug, Clone)]
-pub struct AssessmentOutput {
-    batch: BatchOutput,
+pub struct SessionOutput<S> {
+    slices: Vec<S>,
+    /// Scenario name → slice position, first occurrence wins.
+    index: HashMap<String, usize>,
     draws: RetainedDraws,
     intervals: Vec<Option<Interval>>,
     embodied_intervals: Vec<Option<Interval>>,
+    pub(crate) chunks: usize,
+    pub(crate) systems: usize,
+    pub(crate) peak_chunk_rows: usize,
 }
 
-impl AssessmentOutput {
-    fn new(
-        slices: Vec<ScenarioSlice>,
-        retained: Vec<ScenarioDraws>,
-        plan: DrawPlan,
-    ) -> AssessmentOutput {
+/// Results of one [`Assessment`] run or resident query, with every
+/// scenario's per-system footprints.
+pub type AssessmentOutput = SessionOutput<ScenarioSlice>;
+
+impl<S> SessionOutput<S> {
+    /// Builds the output from a finished engine: `slice` turns each
+    /// (display scenario, fleet totals) pair into the output's slice, and
+    /// the totals' draw buffers become the retained draws.
+    pub(crate) fn from_engine(
+        engine: Engine,
+        display: Vec<DataScenario>,
+        mut slice: impl FnMut(DataScenario, &FleetTotals) -> S,
+    ) -> SessionOutput<S> {
+        let plan = engine.plan();
+        let (chunks, systems, peak_chunk_rows) =
+            (engine.chunks, engine.systems, engine.peak_chunk_rows);
+        let mut index = HashMap::with_capacity(display.len());
+        let mut slices = Vec::with_capacity(display.len());
+        let mut retained = Vec::with_capacity(display.len());
+        for (i, (scenario, totals)) in display.into_iter().zip(engine.finish()).enumerate() {
+            index.entry(scenario.name.clone()).or_insert(i);
+            slices.push(slice(scenario, &totals));
+            retained.push(ScenarioDraws {
+                op_point: totals.operational_mt,
+                op: totals.op_draws,
+                emb_point: totals.embodied_mt,
+                emb: totals.emb_draws,
+            });
+        }
         let draws = RetainedDraws {
             plan,
             scenarios: retained,
         };
-        AssessmentOutput {
-            batch: BatchOutput::new(slices),
+        SessionOutput {
+            slices,
+            index,
             intervals: draws.intervals(true),
             embodied_intervals: draws.intervals(false),
             draws,
+            chunks,
+            systems,
+            peak_chunk_rows,
         }
     }
 
+    /// Slice position by scenario name (first occurrence wins).
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
+    }
+
     /// All slices, matrix order.
-    pub fn slices(&self) -> &[ScenarioSlice] {
-        self.batch.slices()
+    pub fn slices(&self) -> &[S] {
+        &self.slices
     }
 
     /// Number of scenarios assessed.
     pub fn len(&self) -> usize {
-        self.slices().len()
+        self.slices.len()
     }
 
     /// True when nothing was assessed (empty matrix).
     pub fn is_empty(&self) -> bool {
-        self.slices().is_empty()
+        self.slices.is_empty()
     }
 
     /// Slice by scenario name — O(1).
-    pub fn slice(&self, name: &str) -> Option<&ScenarioSlice> {
-        self.batch.slice(name)
+    pub fn slice(&self, name: &str) -> Option<&S> {
+        self.index_of(name).and_then(|i| self.slices.get(i))
     }
 
+    /// The [`DrawPlan`] that produced this output's uncertainty phase.
+    pub fn draw_plan(&self) -> &DrawPlan {
+        &self.draws.plan
+    }
+
+    /// One scenario's retained operational draw vector (`None` without
+    /// `uncertainty` or when the scenario covered nothing). Draws are
+    /// paired across scenarios: index `i` of every scenario's vector was
+    /// produced by the same per-system perturbations, and a stream's
+    /// vector is bit-identical to the in-memory session's over the same
+    /// systems.
+    pub fn operational_draws(&self, name: &str) -> Option<&[f64]> {
+        self.draws.operational_draws(self.index_of(name)?)
+    }
+
+    /// One scenario's retained embodied draw vector — see
+    /// [`SessionOutput::operational_draws`].
+    pub fn embodied_draws(&self, name: &str) -> Option<&[f64]> {
+        self.draws.embodied_draws(self.index_of(name)?)
+    }
+
+    /// Paired-difference intervals `variant − baseline` over the session's
+    /// common random numbers — the first-class scenario comparison. `None`
+    /// when either scenario is absent or no uncertainty draws ran; the
+    /// per-family intervals inside are `None` where a side had no
+    /// coverage. The paired interval is no wider — in practice far tighter
+    /// — than [`Interval::independent_difference`] of the two scenarios'
+    /// own bands, because both scenarios replayed identical per-system
+    /// perturbations, and it is bit-identical between a stream and an
+    /// in-memory session over the same systems (pinned by
+    /// `tests/compare.rs` and proptests).
+    pub fn compare(&self, baseline: &str, variant: &str) -> Option<ScenarioDelta> {
+        let b = self.index_of(baseline)?;
+        let v = self.index_of(variant)?;
+        self.draws.compare((baseline, b), (variant, v))
+    }
+}
+
+impl SessionOutput<ScenarioSlice> {
     /// Footprints of one scenario by name — O(1).
     pub fn footprints(&self, name: &str) -> Option<&[SystemFootprint]> {
         self.slice(name).map(|s| s.footprints.as_slice())
@@ -689,59 +438,30 @@ impl AssessmentOutput {
 
     /// Operational interval of one scenario by name — O(1).
     pub fn interval(&self, name: &str) -> Option<Interval> {
-        self.batch.index_of(name).and_then(|i| self.intervals[i])
+        self.index_of(name).and_then(|i| self.intervals[i])
     }
 
     /// Embodied interval of one scenario by name — O(1).
     pub fn embodied_interval(&self, name: &str) -> Option<Interval> {
-        self.batch
-            .index_of(name)
-            .and_then(|i| self.embodied_intervals[i])
+        self.index_of(name).and_then(|i| self.embodied_intervals[i])
     }
 
-    /// The [`DrawPlan`] that produced this output's uncertainty phase.
-    pub fn draw_plan(&self) -> &DrawPlan {
-        &self.draws.plan
-    }
-
-    /// One scenario's retained operational draw vector (`None` without
-    /// `uncertainty` or when the scenario covered nothing). Draws are
-    /// paired across scenarios: index `i` of every scenario's vector was
-    /// produced by the same per-system perturbations.
-    pub fn operational_draws(&self, name: &str) -> Option<&[f64]> {
-        self.draws.operational_draws(self.batch.index_of(name)?)
-    }
-
-    /// One scenario's retained embodied draw vector — see
-    /// [`AssessmentOutput::operational_draws`].
-    pub fn embodied_draws(&self, name: &str) -> Option<&[f64]> {
-        self.draws.embodied_draws(self.batch.index_of(name)?)
-    }
-
-    /// Paired-difference intervals `variant − baseline` over the session's
-    /// common random numbers — the first-class scenario comparison. `None`
-    /// when either scenario is absent or no uncertainty draws ran; the
-    /// per-family intervals inside are `None` where a side had no
-    /// coverage. The paired interval is no wider — in practice far tighter
-    /// — than [`Interval::independent_difference`] of the two scenarios'
-    /// own bands, because both scenarios replayed identical per-system
-    /// perturbations (pinned by `tests/compare.rs` and proptests).
-    pub fn compare(&self, baseline: &str, variant: &str) -> Option<ScenarioDelta> {
-        let b = self.batch.index_of(baseline)?;
-        let v = self.batch.index_of(variant)?;
-        self.draws.compare((baseline, b), (variant, v))
-    }
-
-    /// Columnar layout of every (scenario, system) result — see
-    /// [`BatchOutput::to_frame`].
+    /// Columnar layout of every (scenario, system) result:
+    /// `scenario, rank, operational_mt, embodied_mt, power_kw, pue,
+    /// utilization, power_path, note` (nulls where not estimable).
     pub fn to_frame(&self) -> DataFrame {
-        self.batch.to_frame()
+        slices_to_frame(&self.slices)
     }
 
     /// Consumes the output, returning the first scenario's footprints —
-    /// the single-scenario convenience.
+    /// the single-scenario convenience (empty when no scenario was
+    /// assessed).
     pub fn into_footprints(self) -> Vec<SystemFootprint> {
-        self.batch.into_first_footprints()
+        self.slices
+            .into_iter()
+            .next()
+            .map(|s| s.footprints)
+            .unwrap_or_default()
     }
 }
 
@@ -814,20 +534,6 @@ mod tests {
         assert!(out.slice("no-power").is_some());
         assert!(out.slice("missing").is_none());
         assert_eq!(out.footprints("full").unwrap().len(), 80);
-    }
-
-    #[test]
-    fn context_reuse_is_bit_identical_to_list_source() {
-        let list = list();
-        let via_list = Assessment::of(&list).scenarios(&matrix()).run();
-        let ctx = AssessmentContext::new(&list, 4);
-        let via_ctx = Assessment::over(&ctx).scenarios(&matrix()).run();
-        for (a, b) in via_list.slices().iter().zip(via_ctx.slices()) {
-            for (x, y) in a.footprints.iter().zip(&b.footprints) {
-                assert_eq!(x.operational, y.operational);
-                assert_eq!(x.embodied, y.embodied);
-            }
-        }
     }
 
     #[test]
@@ -928,11 +634,10 @@ mod tests {
     #[test]
     fn masked_matrix_run_performs_zero_record_clones() {
         let list = list();
-        let ctx = AssessmentContext::new(&list, 1);
         let before = top500::record::clones_on_thread();
         // workers(1) keeps the whole plan on this thread, so the
         // thread-local counter observes every clone the engine would do.
-        let out = Assessment::over(&ctx).workers(1).scenarios(&matrix()).run();
+        let out = Assessment::of(&list).workers(1).scenarios(&matrix()).run();
         assert_eq!(out.len(), 3);
         assert_eq!(
             top500::record::clones_on_thread(),

@@ -14,8 +14,8 @@
 //!   [`PartialAssessment`] over them.
 //!
 //! Queries borrow the state ([`FleetState::query`]) and run the same
-//! phase-2/3 engine as a cold session
-//! ([`crate::session`]'s `run_planned_phases`), so every answer is
+//! crate-internal chunk engine as a cold session, over the whole fleet as
+//! one chunk with the resident metrics and columns, so every answer is
 //! **bit-identical** to the cold path (pinned by `tests/proptests.rs` and
 //! `tests/serve.rs`): a cache hit supplies the very bits phase 2 would
 //! recompute, and the Monte-Carlo draws are a pure function of those bases
@@ -37,16 +37,14 @@
 
 use crate::batch::assess_columns;
 use crate::columns::FleetColumns;
+use crate::engine::{filled, slots, Engine};
 use crate::estimator::{EasyCConfig, SystemFootprint};
 use crate::metrics::SevenMetrics;
 use crate::partial::{FleetTotals, PartialAssessment};
-use crate::scenario::{DataScenario, MetricMask, ScenarioMatrix};
-use crate::session::{
-    plan_scenarios, run_planned_phases, AssessmentOutput, PhaseInput, DEFAULT_ITEMS_PER_WORKER,
-};
-use crate::uncertainty::{DrawPlan, PriorUncertainty};
+use crate::scenario::{DataScenario, MetricMask};
+use crate::session::{plan_scenarios, AssessmentOutput, Session};
+use crate::uncertainty::DrawPlan;
 use crate::view::FleetView;
-use parallel::pool::ThreadPool;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use top500::io::ImportError;
@@ -130,11 +128,17 @@ impl std::fmt::Display for UpdateError {
                 first_row,
                 rows,
                 len,
-            } => write!(
-                f,
-                "row update {first_row}..{} leaves the {len}-system fleet",
-                first_row + rows
-            ),
+            } => match first_row.checked_add(*rows) {
+                Some(end) => write!(
+                    f,
+                    "row update {first_row}..{end} leaves the {len}-system fleet"
+                ),
+                None => write!(
+                    f,
+                    "row update of {rows} rows at {first_row} overflows the row index \
+                     ({len}-system fleet)"
+                ),
+            },
             UpdateError::RankChanged { row, expected, got } => write!(
                 f,
                 "row {row} must keep rank {expected} (replacement has rank {got}); \
@@ -220,9 +224,12 @@ impl FleetState {
     /// True when the default-scenario footprint cache is present and keyed
     /// by the current source hash.
     pub fn is_warm(&self) -> bool {
-        self.cache
-            .as_ref()
-            .is_some_and(|c| c.hash == self.source_hash)
+        self.warm_cache().is_some()
+    }
+
+    /// The footprint cache, when it is keyed by the current source hash.
+    fn warm_cache(&self) -> Option<&FootprintCache> {
+        self.cache.as_ref().filter(|c| c.hash == self.source_hash)
     }
 
     /// The effective default scenario (everything visible, configuration
@@ -232,25 +239,25 @@ impl FleetState {
     }
 
     /// Computes (or refreshes) the default-scenario footprint cache
-    /// through the same columnar kernels a query uses, and folds it into
-    /// a single-segment retractable partial. Idempotent when warm.
+    /// through the engine a query uses — one chunk, one scenario, no
+    /// draws, on the calling thread — and keeps the engine's
+    /// single-segment partial over it for retraction. Idempotent when warm.
     pub fn warm(&mut self) {
         if self.is_warm() {
             return;
         }
-        let scenario = self.default_scenario();
-        let view = FleetView::new(&self.list, &self.metrics, &scenario);
-        let n = self.list.len();
-        let mut slots: Vec<Option<SystemFootprint>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        assess_columns(&self.columns, &view, 0..n, &mut slots);
-        let footprints: Vec<SystemFootprint> = slots
-            .into_iter()
-            // audit: allow(panic-surface) — assess_columns fills the whole 0..n range it was given
-            .map(|f| f.expect("assess_columns fills every slot"))
-            .collect();
-        let mut partial = PartialAssessment::identity(0);
-        partial.absorb(0, &footprints);
+        let mut engine = Engine::new(vec![self.default_scenario()], DrawPlan::default(), 1, 1);
+        let mut footprints = Vec::new();
+        engine.assess_chunk(
+            &self.list,
+            Some((&self.metrics, &self.columns)),
+            |_| None,
+            |_, fps| footprints = fps.into_owned(),
+        );
+        let partial = engine
+            .into_partials()
+            .pop()
+            .unwrap_or_else(|| PartialAssessment::identity(0));
         self.cache = Some(FootprintCache {
             hash: self.source_hash,
             footprints,
@@ -262,18 +269,12 @@ impl FleetState {
     /// clone of the resident single-segment partial, so the bits equal
     /// the serial left fold over the cached footprints.
     pub fn cached_totals(&self) -> Option<FleetTotals> {
-        self.is_warm()
-            // audit: allow(panic-surface) — is_warm() is defined as the cache being populated
-            .then(|| self.cache.as_ref().expect("warm implies cached"))
-            .map(|c| c.partial.clone().finish())
+        self.warm_cache().map(|c| c.partial.clone().finish())
     }
 
     /// The cached default-scenario footprints (`None` when cold).
     pub fn cached_footprints(&self) -> Option<&[SystemFootprint]> {
-        self.is_warm()
-            // audit: allow(panic-surface) — is_warm() is defined as the cache being populated
-            .then(|| self.cache.as_ref().expect("warm implies cached"))
-            .map(|c| c.footprints.as_slice())
+        self.warm_cache().map(|c| c.footprints.as_slice())
     }
 
     /// Evicts the footprint cache **iff** `hash` names the current
@@ -312,157 +313,80 @@ impl FleetState {
     ) -> Result<u64, UpdateError> {
         let n = self.list.len();
         let k = rows.len();
-        if first_row + k > n {
-            return Err(UpdateError::OutOfBounds {
-                first_row,
-                rows: k,
-                len: n,
-            });
-        }
+        let out_of_bounds = UpdateError::OutOfBounds {
+            first_row,
+            rows: k,
+            len: n,
+        };
+        let end = first_row.checked_add(k).ok_or(out_of_bounds)?;
+        let current = self
+            .list
+            .systems()
+            .get(first_row..end)
+            .ok_or(out_of_bounds)?;
         if k == 0 {
             return Ok(self.source_hash);
         }
-        let range = first_row..first_row + k;
-        for (offset, row) in rows.iter().enumerate() {
-            // audit: allow(panic-surface) — `first_row + k <= n` was range-checked at entry
-            let expected = self.list.systems()[first_row + offset].rank;
-            if row.rank != expected {
+        for (offset, (row, current)) in rows.iter().zip(current).enumerate() {
+            if row.rank != current.rank {
                 return Err(UpdateError::RankChanged {
                     row: first_row + offset,
-                    expected,
+                    expected: current.rank,
                     got: row.rank,
                 });
             }
         }
-        // audit: allow(panic-surface) — same entry range check covers the splice
-        for (slot, row) in self.list.systems_mut()[range.clone()].iter_mut().zip(rows) {
+        let range = first_row..end;
+        let new_hash = chain_hash(self.source_hash, first_row, &rows);
+        // audit: allow(panic-surface) — `range` was bounds-checked against the list at entry
+        let spliced = self.list.systems_mut()[range.clone()].iter_mut();
+        for ((slot, metrics), row) in spliced.zip(&mut self.metrics[range.clone()]).zip(rows) {
+            *metrics = SevenMetrics::extract(&row);
             *slot = row;
-        }
-        for i in range.clone() {
-            // audit: allow(panic-surface) — same entry range check covers the re-extraction
-            self.metrics[i] = SevenMetrics::extract(&self.list.systems()[i]);
         }
         self.columns
             .patch_range(&self.list, &self.metrics, range.clone());
-        let new_hash = chain_hash(
-            self.source_hash,
-            first_row,
-            // audit: allow(panic-surface) — same entry range check covers the hash window
-            &self.list.systems()[range.clone()],
-        );
 
-        if self.is_warm() {
-            let scenario = self.default_scenario();
-            let view = FleetView::new(&self.list, &self.metrics, &scenario);
-            // audit: allow(panic-surface) — is_warm() is defined as the cache being populated
-            let cache = self.cache.as_mut().expect("warm implies cached");
-            cache
-                .partial
-                .retract(first_row..n, &cache.footprints[..first_row])
-                // audit: allow(panic-surface) — the warm cache always holds the full 0..n fold
-                .expect("cached partial covers 0..n and the cut lies inside it");
-            let mut slots: Vec<Option<SystemFootprint>> = Vec::with_capacity(k);
-            slots.resize_with(k, || None);
-            assess_columns(&self.columns, &view, range.clone(), &mut slots);
-            for (i, slot) in range.clone().zip(slots) {
-                // audit: allow(panic-surface) — assess_columns fills the whole range it was given
-                cache.footprints[i] = slot.expect("assess_columns fills every slot");
+        let scenario = self.default_scenario();
+        let source_hash = self.source_hash;
+        match self.cache.as_mut().filter(|c| c.hash == source_hash) {
+            Some(cache) => {
+                cache
+                    .partial
+                    .retract(first_row..n, &cache.footprints[..first_row])
+                    // audit: allow(panic-surface) — the warm cache always holds the full 0..n fold
+                    .expect("cached partial covers 0..n and the cut lies inside it");
+                let view = FleetView::new(&self.list, &self.metrics, &scenario);
+                let mut fresh = slots(k);
+                assess_columns(&self.columns, &view, range.clone(), &mut fresh);
+                cache.footprints.splice(range, filled(fresh));
+                cache
+                    .partial
+                    .absorb(first_row, &cache.footprints[first_row..]);
+                cache.hash = new_hash;
             }
-            cache
-                .partial
-                .absorb(first_row, &cache.footprints[first_row..]);
-            cache.hash = new_hash;
-        } else {
-            self.cache = None;
+            None => self.cache = None,
         }
         self.source_hash = new_hash;
         Ok(new_hash)
     }
 
-    /// Starts a query over the resident fleet — a cheap borrow mirroring
-    /// the [`crate::Assessment`] builder.
+    /// Starts a query over the resident fleet — a cheap borrow sharing
+    /// the [`crate::Assessment`] builder, minus `config`: the state's
+    /// configuration keys its cache, so every query plans against it.
     pub fn query(&self) -> QueryPlan<'_> {
-        QueryPlan {
-            state: self,
-            matrix: None,
-            plan: DrawPlan::default(),
-            workers: self.config.workers.max(1),
-            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
-        }
+        Session::new(self, self.config)
     }
 }
 
-/// A per-query plan borrowing a [`FleetState`] — the warm counterpart of
-/// [`crate::Assessment`], sharing its phase-2/3 engine so results are
+/// A per-query plan borrowing a [`FleetState`] — the warm form of the
+/// [`crate::Assessment`] builder, running the same engine so results are
 /// bit-identical to a cold session at any worker count and cache
-/// temperature. Build with [`FleetState::query`], finish with
-/// [`QueryPlan::run`].
-pub struct QueryPlan<'a> {
-    state: &'a FleetState,
-    matrix: Option<ScenarioMatrix>,
-    plan: DrawPlan,
-    workers: usize,
-    items_per_worker: usize,
-}
+/// temperature. Build with [`FleetState::query`] (workers default to the
+/// state's configured count), finish with `run`.
+pub type QueryPlan<'a> = Session<&'a FleetState>;
 
-impl<'a> QueryPlan<'a> {
-    /// Queries one explicit scenario (replacing the default).
-    pub fn scenario(mut self, scenario: DataScenario) -> QueryPlan<'a> {
-        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
-        self
-    }
-
-    /// Queries a whole scenario matrix in one interleaved pass.
-    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> QueryPlan<'a> {
-        self.matrix = Some(matrix.clone());
-        self
-    }
-
-    /// Requests Monte-Carlo fleet-total intervals with this many draws
-    /// per scenario (0 = skip, the default).
-    pub fn uncertainty(mut self, draws: usize) -> QueryPlan<'a> {
-        self.plan.draws = draws;
-        self
-    }
-
-    /// Confidence level of the intervals (default 0.95).
-    pub fn confidence(mut self, level: f64) -> QueryPlan<'a> {
-        self.plan.level = level;
-        self
-    }
-
-    /// RNG seed for the Monte-Carlo draws (default 0).
-    pub fn seed(mut self, seed: u64) -> QueryPlan<'a> {
-        self.plan.seed = seed;
-        self
-    }
-
-    /// Prior uncertainty widths used by the Monte-Carlo draws.
-    pub fn priors(mut self, priors: PriorUncertainty) -> QueryPlan<'a> {
-        self.plan.priors = priors;
-        self
-    }
-
-    /// Replaces the whole [`DrawPlan`] in one call.
-    pub fn draw_plan(mut self, plan: DrawPlan) -> QueryPlan<'a> {
-        self.plan = plan;
-        self
-    }
-
-    /// Worker-pool size for this query (default: the state's configured
-    /// workers).
-    pub fn workers(mut self, workers: usize) -> QueryPlan<'a> {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Work items planned per worker (default 4) — a scheduler knob,
-    /// bit-identical at any granularity.
-    pub fn items_per_worker(mut self, items: usize) -> QueryPlan<'a> {
-        self.items_per_worker = items.max(1);
-        self
-    }
-
+impl Session<&FleetState> {
     /// Plans and executes the query on the resident fleet. Scenarios
     /// whose effective (mask, overrides) equal the warm default scenario
     /// skip phase 2 entirely — the cache already holds the bits it would
@@ -471,34 +395,17 @@ impl<'a> QueryPlan<'a> {
     /// bases and the plan, so intervals match the cold session bit for
     /// bit either way.
     pub fn run(self) -> AssessmentOutput {
-        let state = self.state;
-        let (display, effective) = plan_scenarios(self.matrix.as_ref(), &state.config);
-        let cache = state.cache.as_ref().filter(|c| c.hash == state.source_hash);
+        let state = self.source;
+        let cache = state.warm_cache();
         let default_overrides = state.config.overrides();
-        let cached: Vec<Option<&[SystemFootprint]>> = effective
-            .iter()
-            .map(|eff| {
-                cache.and_then(|c| {
-                    (eff.mask == MetricMask::ALL && eff.overrides == default_overrides)
-                        .then_some(c.footprints.as_slice())
-                })
-            })
-            .collect();
-        let workers = self.workers;
-        let pool = (workers > 1).then(|| ThreadPool::new(workers));
-        run_planned_phases(
-            &PhaseInput {
-                list: &state.list,
-                metrics: &state.metrics,
-                columns: &state.columns,
-                cached: &cached,
+        self.run_whole(
+            &state.list,
+            Some((&state.metrics, &state.columns)),
+            |eff: &DataScenario| {
+                cache
+                    .filter(|_| eff.mask == MetricMask::ALL && eff.overrides == default_overrides)
+                    .map(|c| c.footprints.as_slice())
             },
-            display,
-            &effective,
-            self.plan,
-            workers,
-            self.items_per_worker,
-            pool.as_ref(),
         )
     }
 }
@@ -506,7 +413,7 @@ impl<'a> QueryPlan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{MetricBit, OverrideSet};
+    use crate::scenario::{MetricBit, OverrideSet, ScenarioMatrix};
     use crate::session::Assessment;
     use top500::synthetic::{generate_full, SyntheticConfig};
 
@@ -682,6 +589,32 @@ mod tests {
 
         // Empty splices are hash-preserving no-ops.
         assert_eq!(state.update_rows(3, Vec::new()).unwrap(), hash);
+    }
+
+    #[test]
+    fn update_rows_rejects_an_overflowing_splice_untouched() {
+        let mut state = FleetState::from_list(list(20), EasyCConfig::default());
+        state.warm();
+        let hash = state.source_hash();
+        let totals = state.cached_totals();
+        let row = state.list().systems()[0].clone();
+        let err = state.update_rows(usize::MAX, vec![row]).unwrap_err();
+        assert_eq!(
+            err,
+            UpdateError::OutOfBounds {
+                first_row: usize::MAX,
+                rows: 1,
+                len: 20
+            }
+        );
+        assert!(err.to_string().contains("overflows"));
+        assert_eq!(
+            state.source_hash(),
+            hash,
+            "a rejected splice changes nothing"
+        );
+        assert!(state.is_warm());
+        assert_eq!(state.cached_totals(), totals);
     }
 
     #[test]

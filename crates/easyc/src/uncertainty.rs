@@ -37,6 +37,7 @@
 //! build the paired-difference intervals.
 
 use crate::embodied::EmbodiedEstimate;
+use crate::estimator::SystemFootprint;
 use crate::fold;
 use crate::operational::{self, OperationalEstimate};
 use frame::stats;
@@ -256,11 +257,10 @@ pub(crate) struct ScenarioDraws {
 }
 
 /// The whole retained draw state of one session run: the plan plus every
-/// scenario's draws, with the accessors `AssessmentOutput` and
-/// `StreamOutput` delegate to after resolving a name to a matrix index.
-/// Owning the guards here (the `draws == 0` gate, the empty-vector
-/// convention) keeps the two outputs' semantics identical by construction
-/// — the in-memory/streamed bit-identity contract has one home.
+/// scenario's draws, with the accessors the shared session output
+/// delegates to after resolving a name to a matrix index. Owning the
+/// guards here (the `draws == 0` gate, the empty-vector convention) keeps
+/// every output's semantics identical by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct RetainedDraws {
     pub(crate) plan: DrawPlan,
@@ -556,8 +556,8 @@ pub(crate) fn embodied_draw(
 
 /// Struct-of-arrays form of one scenario's operational draw bases: the
 /// sample-invariant per-system factors, hoisted out of the per-sample loop.
-/// Built once per scenario (in-memory) or per (scenario, chunk) (streaming)
-/// and swept once per sample.
+/// Built once per (scenario, chunk) by the chunk engine and swept once per
+/// sample.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OpFactorColumns {
     /// Global fleet index per base — the idiosyncratic noise key.
@@ -572,18 +572,25 @@ pub(crate) struct OpFactorColumns {
 }
 
 impl OpFactorColumns {
-    /// Hoists the index-tagged bases into columns (base order preserved —
-    /// the accumulation order of the draws).
-    pub(crate) fn from_bases(bases: &[(usize, OperationalEstimate)]) -> OpFactorColumns {
+    /// Hoists the Ok operational estimates of a block of footprints into
+    /// columns, each tagged with its global fleet row `first_row +
+    /// position` — the CRN noise key (block order preserved — the
+    /// accumulation order of the draws).
+    pub(crate) fn from_footprints(
+        first_row: usize,
+        footprints: &[SystemFootprint],
+    ) -> OpFactorColumns {
+        let covered = footprints.iter().filter(|f| f.operational.is_ok()).count();
         let mut cols = OpFactorColumns::default();
-        cols.index.reserve_exact(bases.len());
-        cols.power_kw.reserve_exact(bases.len());
-        cols.pue.reserve_exact(bases.len());
-        cols.util.reserve_exact(bases.len());
-        cols.aci_value.reserve_exact(bases.len());
-        cols.aci_sigma.reserve_exact(bases.len());
-        for (index, base) in bases {
-            cols.index.push(*index);
+        cols.index.reserve_exact(covered);
+        cols.power_kw.reserve_exact(covered);
+        cols.pue.reserve_exact(covered);
+        cols.util.reserve_exact(covered);
+        cols.aci_value.reserve_exact(covered);
+        cols.aci_sigma.reserve_exact(covered);
+        for (row, fp) in footprints.iter().enumerate() {
+            let Ok(base) = &fp.operational else { continue };
+            cols.index.push(first_row + row);
             cols.power_kw.push(base.power_kw);
             cols.pue.push(base.pue);
             cols.util.push(base.utilization);
@@ -613,14 +620,17 @@ pub(crate) struct EmbFactorColumns {
 }
 
 impl EmbFactorColumns {
-    /// Hoists the bases into columns (base order preserved).
-    pub(crate) fn from_bases(bases: &[EmbodiedEstimate]) -> EmbFactorColumns {
+    /// Hoists the Ok embodied estimates of a block of footprints into
+    /// columns (block order preserved).
+    pub(crate) fn from_footprints(footprints: &[SystemFootprint]) -> EmbFactorColumns {
+        let covered = footprints.iter().filter(|f| f.embodied.is_ok()).count();
         let mut cols = EmbFactorColumns::default();
-        cols.silicon_kg.reserve_exact(bases.len());
-        cols.capacity_kg.reserve_exact(bases.len());
-        cols.chassis_kg.reserve_exact(bases.len());
-        cols.interconnect_kg.reserve_exact(bases.len());
-        for base in bases {
+        cols.silicon_kg.reserve_exact(covered);
+        cols.capacity_kg.reserve_exact(covered);
+        cols.chassis_kg.reserve_exact(covered);
+        cols.interconnect_kg.reserve_exact(covered);
+        for fp in footprints {
+            let Ok(base) = &fp.embodied else { continue };
             let b = base.breakdown;
             cols.silicon_kg.push(b.cpu_kg + b.accelerator_kg);
             cols.capacity_kg.push(b.dram_kg + b.storage_kg);

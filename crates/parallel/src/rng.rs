@@ -60,11 +60,6 @@ impl SplitMix64 {
 }
 
 impl SplitMix64 {
-    /// High 32 bits of the next output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
     /// Alias of [`SplitMix64::next`] (mirrors the `rand::RngCore` name).
     pub fn next_u64(&mut self) -> u64 {
         self.next()

@@ -7,9 +7,9 @@
 //! - [`easyc`] — the paper's primary contribution: the seven-metric carbon
 //!   footprint model (operational + embodied), including the composable
 //!   data-scenario layer (`easyc::scenario`: availability masks, prior
-//!   overrides, scenario matrices) and the staged batch assessment engine
-//!   (`easyc::batch`: `MetricsStage → OperationalStage → EmbodiedStage`
-//!   over a shared context, chunk-parallel, bit-identical to serial).
+//!   overrides, scenario matrices) and one chunk engine behind the
+//!   `easyc::Assessment` session — in memory, streamed or as a resident
+//!   query — pool-parallel and bit-identical to the serial path.
 //! - [`top500`] — the Top 500 dataset substrate (embedded appendix Table II,
 //!   synthetic list generator, public-info enrichment).
 //! - [`hwdb`] — hardware and carbon-factor databases.
@@ -17,8 +17,8 @@
 //! - [`analysis`] — study pipelines regenerating every paper table and
 //!   figure, scenario sweeps (`analysis::fleet::scenario_sweep`) and
 //!   batch-slice sensitivity (`analysis::sensitivity::from_footprints`).
-//! - [`frame`] — columnar mini-dataframe and statistics substrate (batch
-//!   results are exposed columnar via `easyc::BatchOutput::to_frame`).
+//! - [`frame`] — columnar mini-dataframe and statistics substrate (session
+//!   results are exposed columnar via `easyc::AssessmentOutput::to_frame`).
 //! - [`parallel`] — std-only deterministic parallel execution substrate.
 //! - [`serve`] — the resident-assessment service: a std-only JSONL-over-TCP
 //!   front end over a warm `easyc::FleetState` (CLI `serve` / `query`).
