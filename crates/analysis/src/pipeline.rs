@@ -170,7 +170,7 @@ impl StudyPipeline {
     /// prefetch thread ([`Prefetched`]) while the pool assesses, and every
     /// per-(scenario, system) row is spilled chunk-by-chunk into a
     /// columnar CSV at `target` (byte-identical to the in-memory
-    /// `to_frame` artifact). Memory stays bounded by two chunks however
+    /// `write_csv` artifact). Memory stays bounded by two chunks however
     /// large `n` is.
     pub fn stream_sweep_to_csv(
         &self,

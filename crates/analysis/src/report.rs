@@ -4,7 +4,7 @@
 use crate::figures::{self, CarbonByRank, CoverageByRange, Fig2, Fig4, Fig7, Fig9, Table1};
 use crate::fleet::{self, ScenarioSummary};
 use crate::pipeline::{PipelineOutput, StudyPipeline};
-use easyc::batch::footprints_frame;
+use easyc::batch::FootprintCsv;
 use easyc::{
     Assessment, AssessmentOutput, ChunkRows, DataScenario, EasyCConfig, MetricBit, MetricMask,
     OverrideSet, ScenarioMatrix,
@@ -112,12 +112,13 @@ impl Headline {
 ///
 /// The in-memory sweep writes its columnar artifact scenario-major (every
 /// system of scenario 0, then scenario 1, …) via
-/// [`AssessmentOutput::to_frame`] + `frame::csv::write`. A streaming sweep
-/// produces rows chunk-major instead, so this writer spills each
-/// scenario's rows to its own `*.partN` sidecar file as [`ChunkRows`]
-/// blocks arrive, then [`finish`](SweepCsvWriter::finish) concatenates
-/// header + sidecars (matrix order) into the target and removes them. The
-/// result is **byte-identical** to the in-memory artifact (pinned by
+/// [`AssessmentOutput::write_csv`]. A streaming sweep produces rows
+/// chunk-major instead, so this writer spills each scenario's rows to its
+/// own `*.partN` sidecar file as [`ChunkRows`] blocks arrive, then
+/// [`finish`](SweepCsvWriter::finish) concatenates header + sidecars
+/// (matrix order) into the target and removes them. Both render through
+/// the one typed writer, [`FootprintCsv`], so the result is
+/// **byte-identical** to the in-memory artifact (pinned by
 /// `tests/streaming.rs` and a proptest) while memory stays bounded by one
 /// chunk of rendered rows.
 ///
@@ -147,6 +148,7 @@ impl Headline {
 pub struct SweepCsvWriter {
     target: PathBuf,
     parts: Vec<(PathBuf, BufWriter<File>)>,
+    csv: FootprintCsv,
     error: Option<io::Error>,
 }
 
@@ -201,16 +203,17 @@ impl SweepCsvWriter {
         Ok(SweepCsvWriter {
             target,
             parts,
+            csv: FootprintCsv::new(),
             error: None,
         })
     }
 
     /// Appends one (scenario × chunk) block of rows to that scenario's
-    /// spill file. Rendering goes through the exact code path of the
-    /// in-memory artifact (`easyc::batch::footprints_frame` +
-    /// `frame::csv::write_rows`), which is what makes the final
-    /// concatenation byte-identical. Infallible by design — see the type
-    /// docs for the error latch.
+    /// spill file, rendered by the typed [`FootprintCsv`] writer straight
+    /// into the spill's `BufWriter` — the writer behind the in-memory
+    /// artifact too, which is what makes the final concatenation
+    /// byte-identical. Infallible by design — see the type docs for the
+    /// error latch.
     pub fn append(&mut self, block: &ChunkRows<'_>) {
         if self.error.is_some() {
             return;
@@ -226,9 +229,10 @@ impl SweepCsvWriter {
             ));
             return;
         };
-        let rows =
-            frame::csv::write_rows(&footprints_frame(&block.scenario.name, block.footprints));
-        if let Err(e) = writer.write_all(rows.as_bytes()) {
+        if let Err(e) = self
+            .csv
+            .write_rows(writer, &block.scenario.name, block.footprints)
+        {
             self.error = Some(e);
         }
     }
@@ -251,7 +255,7 @@ impl SweepCsvWriter {
         }
         let result = (|| {
             let mut out = BufWriter::new(File::create(&self.target)?);
-            out.write_all(frame::csv::write_header(&footprints_frame("", &[])).as_bytes())?;
+            self.csv.write_header(&mut out)?;
             for (path, writer) in self.parts.iter_mut() {
                 writer.flush()?;
                 let mut part = File::open(&*path)?;

@@ -10,19 +10,29 @@
 //! cloned per scenario — and the columnar kernels are pinned bit-identical
 //! to the row reference, so every path agrees for any worker count.
 //!
-//! Results are also available columnar: [`footprints_frame`] renders one
-//! scenario block, and the session output's
-//! [`to_frame`](crate::session::SessionOutput::to_frame) the whole matrix,
-//! through one column accumulator, for the `frame` group-by/CSV machinery.
+//! Results leave the model in one layout, the columns `scenario, rank,
+//! operational_mt, embodied_mt, power_kw, pue, utilization, power_path,
+//! note`, in two forms. [`FootprintCsv`] renders (scenario name,
+//! footprints) blocks straight to CSV bytes in an `io::Write`: the
+//! per-system artifact of `sweep --out`, the streamed spill and the served
+//! sweep. The session output's
+//! [`to_frame`](crate::session::SessionOutput::to_frame) builds a
+//! `DataFrame` of the same columns for the `frame` group-by machinery;
+//! `frame::csv::write` over that frame is byte-identical to the typed
+//! writer.
 
 use crate::columns::FleetColumns;
 use crate::coverage::CoverageReport;
+use crate::error::EasyCError;
 use crate::estimator::SystemFootprint;
 use crate::metrics::SevenMetrics;
 use crate::scenario::{DataScenario, OverrideSet};
 use crate::view::{FleetView, SystemView};
 use crate::{embodied, operational};
+use frame::csv::push_field;
 use frame::{Column, DataFrame};
+use std::fmt::Write as _;
+use std::io;
 use top500::record::SystemRecord;
 
 /// Assesses one system through a scenario lens ([`SystemView`]). This is
@@ -85,94 +95,203 @@ pub struct ScenarioSlice {
     pub coverage: CoverageReport,
 }
 
-/// Column accumulator behind the columnar result layout — one instance per
-/// frame, fed scenario-by-scenario so the in-memory session's `to_frame`
-/// and the chunk-at-a-time streaming artifact build byte-identical rows
-/// through one code path.
-struct ResultColumns {
-    scenario: Vec<Option<String>>,
-    rank: Vec<Option<i64>>,
-    op_mt: Vec<Option<f64>>,
-    emb_mt: Vec<Option<f64>>,
-    power: Vec<Option<f64>>,
-    pue: Vec<Option<f64>>,
-    util: Vec<Option<f64>>,
-    path: Vec<Option<String>>,
-    note: Vec<Option<String>>,
-}
-
-impl ResultColumns {
-    fn with_capacity(rows: usize) -> ResultColumns {
-        ResultColumns {
-            scenario: Vec::with_capacity(rows),
-            rank: Vec::with_capacity(rows),
-            op_mt: Vec::with_capacity(rows),
-            emb_mt: Vec::with_capacity(rows),
-            power: Vec::with_capacity(rows),
-            pue: Vec::with_capacity(rows),
-            util: Vec::with_capacity(rows),
-            path: Vec::with_capacity(rows),
-            note: Vec::with_capacity(rows),
-        }
-    }
-
-    fn push(&mut self, scenario_name: &str, footprints: &[SystemFootprint]) {
-        for fp in footprints {
-            self.scenario.push(Some(scenario_name.to_string()));
-            self.rank.push(Some(i64::from(fp.rank)));
-            self.op_mt.push(fp.operational_mt());
-            self.emb_mt.push(fp.embodied_mt());
-            let op = fp.operational.as_ref().ok();
-            self.power.push(op.map(|e| e.power_kw));
-            self.pue.push(op.map(|e| e.pue));
-            self.util.push(op.map(|e| e.utilization));
-            self.path.push(op.map(|e| e.path.label().to_string()));
-            self.note.push(match (&fp.operational, &fp.embodied) {
-                (Ok(_), Ok(_)) => None,
-                (Err(e), _) | (_, Err(e)) => Some(e.to_string()),
-            });
-        }
-    }
-
-    fn into_frame(self) -> DataFrame {
-        DataFrame::new()
-            .with_column("scenario", Column::Str(self.scenario))
-            .and_then(|df| df.with_column("rank", Column::I64(self.rank)))
-            .and_then(|df| df.with_column("operational_mt", Column::F64(self.op_mt)))
-            .and_then(|df| df.with_column("embodied_mt", Column::F64(self.emb_mt)))
-            .and_then(|df| df.with_column("power_kw", Column::F64(self.power)))
-            .and_then(|df| df.with_column("pue", Column::F64(self.pue)))
-            .and_then(|df| df.with_column("utilization", Column::F64(self.util)))
-            .and_then(|df| df.with_column("power_path", Column::Str(self.path)))
-            .and_then(|df| df.with_column("note", Column::Str(self.note)))
-            .expect("fresh frame with equal-length columns")
-    }
-}
-
-/// Columnar layout of every (scenario, system) result:
-/// `scenario, rank, operational_mt, embodied_mt, power_kw, pue,
-/// utilization, power_path, note` (nulls where not estimable). Backs the
-/// session output's [`to_frame`](crate::session::SessionOutput::to_frame).
+/// Columnar layout of every (scenario, system) result, the columns of
+/// `COLUMNS` (nulls where not estimable). Backs the session output's
+/// [`to_frame`](crate::session::SessionOutput::to_frame).
 pub(crate) fn slices_to_frame(slices: &[ScenarioSlice]) -> DataFrame {
     let rows: usize = slices.iter().map(|s| s.footprints.len()).sum();
-    let mut cols = ResultColumns::with_capacity(rows);
+    let (mut scenario, mut rank, mut path, mut note) = (
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+    );
+    let mut numbers: [Vec<Option<f64>>; 5] = std::array::from_fn(|_| Vec::with_capacity(rows));
     for slice in slices {
-        cols.push(&slice.scenario.name, &slice.footprints);
+        for fp in &slice.footprints {
+            scenario.push(Some(slice.scenario.name.clone()));
+            rank.push(Some(i64::from(fp.rank)));
+            for (column, value) in numbers.iter_mut().zip(numeric_cells(fp)) {
+                column.push(value);
+            }
+            path.push(power_path(fp).map(str::to_string));
+            note.push(note_error(fp).map(|e| e.to_string()));
+        }
     }
-    cols.into_frame()
+    let [op_mt, emb_mt, power, pue, util] = numbers.map(Column::F64);
+    let columns = [
+        Column::Str(scenario),
+        Column::I64(rank),
+        op_mt,
+        emb_mt,
+        power,
+        pue,
+        util,
+        Column::Str(path),
+        Column::Str(note),
+    ];
+    let mut df = DataFrame::new();
+    for (name, column) in COLUMNS.into_iter().zip(columns) {
+        df.add_column(name, column)
+            .expect("fresh frame with distinct names and equal-length columns");
+    }
+    df
 }
 
-/// Columnar layout of one scenario-chunk of footprints — the same
-/// `scenario, rank, …, note` schema as the session output's `to_frame`, built
-/// through the same column accumulator, so serialising successive chunks
-/// (in scenario-major order) reproduces the whole-output frame byte for
-/// byte. This is the building block of the streaming artifact sink: the
-/// incremental session hands each (scenario × chunk) block of footprints
-/// to a sink, which renders it with this function and appends the rows.
-pub fn footprints_frame(scenario_name: &str, footprints: &[SystemFootprint]) -> DataFrame {
-    let mut cols = ResultColumns::with_capacity(footprints.len());
-    cols.push(scenario_name, footprints);
-    cols.into_frame()
+/// The columns of every (scenario, system) result, in order: the header of
+/// the CSV artifact [`FootprintCsv`] writes and the columns of the session
+/// output's [`to_frame`](crate::session::SessionOutput::to_frame).
+const COLUMNS: [&str; 9] = [
+    "scenario",
+    "rank",
+    "operational_mt",
+    "embodied_mt",
+    "power_kw",
+    "pue",
+    "utilization",
+    "power_path",
+    "note",
+];
+
+/// The numeric cells of one result row: `operational_mt, embodied_mt,
+/// power_kw, pue, utilization`.
+fn numeric_cells(fp: &SystemFootprint) -> [Option<f64>; 5] {
+    let op = fp.operational.as_ref().ok();
+    [
+        fp.operational_mt(),
+        fp.embodied_mt(),
+        op.map(|e| e.power_kw),
+        op.map(|e| e.pue),
+        op.map(|e| e.utilization),
+    ]
+}
+
+/// The `power_path` cell: the operational estimate's power-path label.
+fn power_path(fp: &SystemFootprint) -> Option<&'static str> {
+    fp.operational.as_ref().ok().map(|e| e.path.label())
+}
+
+/// The error behind the `note` cell: the operational one, else the
+/// embodied one.
+fn note_error(fp: &SystemFootprint) -> Option<&EasyCError> {
+    match (&fp.operational, &fp.embodied) {
+        (Ok(_), Ok(_)) => None,
+        (Err(e), _) | (_, Err(e)) => Some(e),
+    }
+}
+
+/// Rendered bytes a [`FootprintCsv`] holds before it hands them on.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// Typed CSV writer of the per-(scenario, system) artifact.
+///
+/// Streams `(scenario name, &[SystemFootprint])` blocks straight into an
+/// [`io::Write`]: no `DataFrame`, no `Value`, and no heap allocation per
+/// cell — rows render into one reused buffer, handed on every 64 KiB and
+/// at the end of each call. Floats go through their `{}` `Display` and
+/// text fields through `frame::csv::push_field`, so the bytes equal
+/// `frame::csv::write` over the session output's
+/// [`to_frame`](crate::session::SessionOutput::to_frame): a header, then
+/// blocks in scenario-major order, reproduce that artifact byte for byte
+/// however the blocks were chunked.
+///
+/// ```
+/// use easyc::batch::FootprintCsv;
+/// use easyc::Assessment;
+/// use top500::synthetic::{generate_full, SyntheticConfig};
+///
+/// let list = generate_full(&SyntheticConfig { n: 20, ..Default::default() });
+/// let output = Assessment::of(&list).run();
+/// let mut bytes = Vec::new();
+/// let mut csv = FootprintCsv::new();
+/// csv.write_header(&mut bytes)?;
+/// for slice in output.slices() {
+///     csv.write_rows(&mut bytes, &slice.scenario.name, &slice.footprints)?;
+/// }
+/// assert_eq!(bytes, frame::csv::write(&output.to_frame()).into_bytes());
+/// # Ok::<(), std::io::Error>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct FootprintCsv {
+    /// Rendered rows not yet handed to the writer.
+    buf: String,
+    /// The current block's scenario name, already quoted.
+    scenario: String,
+    /// Scratch for one error note before it is quoted.
+    note: String,
+}
+
+impl FootprintCsv {
+    /// A writer with empty buffers.
+    pub fn new() -> FootprintCsv {
+        FootprintCsv::default()
+    }
+
+    /// Writes the header line: the column names of the layout.
+    pub fn write_header(&mut self, out: &mut impl io::Write) -> io::Result<()> {
+        for (i, name) in COLUMNS.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            push_field(&mut self.buf, name);
+        }
+        self.buf.push('\n');
+        self.hand_on(out)
+    }
+
+    /// Writes one row per footprint, every row tagged `scenario`.
+    pub fn write_rows(
+        &mut self,
+        out: &mut impl io::Write,
+        scenario: &str,
+        footprints: &[SystemFootprint],
+    ) -> io::Result<()> {
+        self.scenario.clear();
+        push_field(&mut self.scenario, scenario);
+        for fp in footprints {
+            self.push_row(fp);
+            if self.buf.len() >= FLUSH_BYTES {
+                self.hand_on(out)?;
+            }
+        }
+        self.hand_on(out)
+    }
+
+    /// Renders one row into the buffer. Writing into a `String` cannot
+    /// fail, so the `fmt` results are dropped.
+    fn push_row(&mut self, fp: &SystemFootprint) {
+        let FootprintCsv {
+            buf,
+            scenario,
+            note,
+        } = self;
+        buf.push_str(scenario);
+        let _ = write!(buf, ",{}", fp.rank);
+        for value in numeric_cells(fp) {
+            buf.push(',');
+            if let Some(v) = value {
+                let _ = write!(buf, "{v}");
+            }
+        }
+        buf.push(',');
+        if let Some(label) = power_path(fp) {
+            push_field(buf, label);
+        }
+        buf.push(',');
+        if let Some(e) = note_error(fp) {
+            note.clear();
+            let _ = write!(note, "{e}");
+            push_field(buf, note);
+        }
+        buf.push('\n');
+    }
+
+    /// Hands the buffered bytes to `out` and empties the buffer.
+    fn hand_on(&mut self, out: &mut impl io::Write) -> io::Result<()> {
+        let result = out.write_all(self.buf.as_bytes());
+        self.buf.clear();
+        result
+    }
 }
 
 #[cfg(test)]

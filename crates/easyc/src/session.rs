@@ -38,7 +38,7 @@
 //! [`QueryPlan`]: crate::state::QueryPlan
 //! [`FleetState`]: crate::state::FleetState
 
-use crate::batch::{slices_to_frame, ScenarioSlice};
+use crate::batch::{slices_to_frame, FootprintCsv, ScenarioSlice};
 use crate::columns::FleetColumns;
 use crate::engine::Engine;
 use crate::estimator::{EasyCConfig, SystemFootprint};
@@ -51,6 +51,7 @@ use crate::uncertainty::{
 };
 use frame::DataFrame;
 use std::collections::HashMap;
+use std::io;
 use top500::list::Top500List;
 use top500::stream::FleetChunks;
 
@@ -72,7 +73,7 @@ pub type Assessment<'a> = Session<&'a Top500List>;
 /// Default work-item oversubscription: ~4 chunks per worker, so a skewed
 /// chunk (one giant system, a cache-cold stretch) stops one worker for a
 /// quarter of a share instead of idling the whole pool at the tail.
-const DEFAULT_ITEMS_PER_WORKER: usize = 4;
+pub(crate) const DEFAULT_ITEMS_PER_WORKER: usize = 4;
 
 pub(crate) mod sealed {
     /// Sources whose session may replace its whole configuration: a list
@@ -448,9 +449,24 @@ impl SessionOutput<ScenarioSlice> {
 
     /// Columnar layout of every (scenario, system) result:
     /// `scenario, rank, operational_mt, embodied_mt, power_kw, pue,
-    /// utilization, power_path, note` (nulls where not estimable).
+    /// utilization, power_path, note` (nulls where not estimable). For
+    /// group-by and analysis; to write the artifact use
+    /// [`write_csv`](SessionOutput::write_csv).
     pub fn to_frame(&self) -> DataFrame {
         slices_to_frame(&self.slices)
+    }
+
+    /// Writes the per-(scenario, system) CSV artifact — header, then every
+    /// scenario's rows in matrix order — through the typed
+    /// [`FootprintCsv`] writer, and flushes `out`. The bytes equal
+    /// `frame::csv::write(&self.to_frame())`; no frame is built.
+    pub fn write_csv(&self, mut out: impl io::Write) -> io::Result<()> {
+        let mut csv = FootprintCsv::new();
+        csv.write_header(&mut out)?;
+        for slice in &self.slices {
+            csv.write_rows(&mut out, &slice.scenario.name, &slice.footprints)?;
+        }
+        out.flush()
     }
 
     /// Consumes the output, returning the first scenario's footprints —

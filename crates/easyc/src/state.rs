@@ -42,7 +42,7 @@ use crate::estimator::{EasyCConfig, SystemFootprint};
 use crate::metrics::SevenMetrics;
 use crate::partial::{FleetTotals, PartialAssessment};
 use crate::scenario::{DataScenario, MetricMask};
-use crate::session::{plan_scenarios, AssessmentOutput, Session};
+use crate::session::{plan_scenarios, AssessmentOutput, Session, DEFAULT_ITEMS_PER_WORKER};
 use crate::uncertainty::DrawPlan;
 use crate::view::FleetView;
 use std::collections::hash_map::DefaultHasher;
@@ -240,13 +240,19 @@ impl FleetState {
 
     /// Computes (or refreshes) the default-scenario footprint cache
     /// through the engine a query uses — one chunk, one scenario, no
-    /// draws, on the calling thread — and keeps the engine's
-    /// single-segment partial over it for retraction. Idempotent when warm.
+    /// draws, on the state's workers — and keeps the engine's
+    /// single-segment partial over it for retraction. The footprints and
+    /// the fold do not depend on the worker count. Idempotent when warm.
     pub fn warm(&mut self) {
         if self.is_warm() {
             return;
         }
-        let mut engine = Engine::new(vec![self.default_scenario()], DrawPlan::default(), 1, 1);
+        let mut engine = Engine::new(
+            vec![self.default_scenario()],
+            DrawPlan::default(),
+            self.config.workers,
+            DEFAULT_ITEMS_PER_WORKER,
+        );
         let mut footprints = Vec::new();
         engine.assess_chunk(
             &self.list,
@@ -506,6 +512,46 @@ mod tests {
             reference.embodied_mt.to_bits()
         );
         assert_eq!(totals.total, 50);
+    }
+
+    #[test]
+    fn warm_cache_is_bit_identical_at_one_and_two_workers() {
+        let warmed = |workers| {
+            let config = EasyCConfig {
+                workers,
+                ..EasyCConfig::default()
+            };
+            let mut state = FleetState::from_list(list(90), config);
+            state.warm();
+            state
+        };
+        let (one, two) = (warmed(1), warmed(2));
+        let (a, b) = (
+            one.cached_footprints().expect("warm"),
+            two.cached_footprints().expect("warm"),
+        );
+        assert_eq!(a.len(), 90);
+        assert_eq!(a.len(), b.len());
+        for (f, g) in a.iter().zip(b) {
+            assert_eq!(f.rank, g.rank);
+            assert_eq!(f.operational, g.operational);
+            assert_eq!(f.embodied, g.embodied);
+            assert_eq!(
+                f.operational_mt().map(f64::to_bits),
+                g.operational_mt().map(f64::to_bits)
+            );
+            assert_eq!(
+                f.embodied_mt().map(f64::to_bits),
+                g.embodied_mt().map(f64::to_bits)
+            );
+        }
+        let (x, y) = (
+            one.cached_totals().expect("warm"),
+            two.cached_totals().expect("warm"),
+        );
+        assert_eq!(x.operational_mt.to_bits(), y.operational_mt.to_bits());
+        assert_eq!(x.embodied_mt.to_bits(), y.embodied_mt.to_bits());
+        assert_eq!(x, y);
     }
 
     #[test]

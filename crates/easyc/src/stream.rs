@@ -47,7 +47,7 @@ use top500::stream::FleetChunks;
 /// scenario in matrix order. A sink that spills each scenario's blocks to
 /// its own buffer and concatenates them in matrix order reconstructs
 /// exactly the scenario-major
-/// [`AssessmentOutput::to_frame`](crate::session::SessionOutput::to_frame)
+/// [`AssessmentOutput::write_csv`](crate::session::SessionOutput::write_csv)
 /// row order of the in-memory session.
 pub struct ChunkRows<'a> {
     /// Position of the scenario in the matrix (0-based).
@@ -95,7 +95,8 @@ impl<'sink, S: FleetChunks> Session<ChunkSource<'sink, S>> {
     /// to disk (or anywhere else) without the session ever holding more
     /// than one chunk of them. This is what `sweep --stream --out` builds
     /// its byte-identical columnar artifact on — see
-    /// `analysis::report::SweepCsvWriter` in the `analysis` crate.
+    /// `analysis::report::SweepCsvWriter` in the `analysis` crate, which
+    /// renders each block with [`crate::batch::FootprintCsv`].
     pub fn rows<F>(mut self, sink: F) -> StreamingAssessment<'sink, S>
     where
         F: FnMut(ChunkRows<'_>) + 'sink,

@@ -616,13 +616,22 @@ pub fn split_points(
     })
 }
 
-/// Quotes a field when it contains separators, quotes or newlines.
-fn escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Appends one field to `out`, quoted when it contains a separator, a
+/// quote or a newline (embedded quotes doubled). This is the one quoting
+/// rule of every CSV this workspace writes; it allocates nothing.
+pub fn push_field(out: &mut String, field: &str) {
+    if !field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+        out.push_str(field);
+        return;
     }
+    out.push('"');
+    for c in field.chars() {
+        if c == '"' {
+            out.push('"');
+        }
+        out.push(c);
+    }
+    out.push('"');
 }
 
 /// Serialises a frame to CSV text (header + rows, `\n` separators, empty
@@ -638,12 +647,13 @@ pub fn write(df: &DataFrame) -> String {
 /// Serialises just the header line (column names, `\n`-terminated) of a
 /// frame. Byte-identical to the first line [`write()`] produces.
 pub fn write_header(df: &DataFrame) -> String {
-    let mut out = df
-        .names()
-        .iter()
-        .map(|n| escape(n))
-        .collect::<Vec<_>>()
-        .join(",");
+    let mut out = String::new();
+    for (i, name) in df.names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_field(&mut out, name);
+    }
     out.push('\n');
     out
 }
@@ -652,15 +662,39 @@ pub fn write_header(df: &DataFrame) -> String {
 /// what [`write()`] produces after its header line, so appending
 /// `write_rows` output of successive chunks under one [`write_header`]
 /// reproduces `write` over the concatenated frame exactly.
+///
+/// Columns are resolved once and every cell renders straight into the
+/// output: numbers and booleans through their `Display`, strings through
+/// [`push_field`], nulls as an empty field.
 pub fn write_rows(df: &DataFrame) -> String {
-    let mut out = String::new();
+    use std::fmt::Write as _;
+    let columns: Vec<&Column> = df
+        .names()
+        .iter()
+        .map(|name| {
+            df.column(name)
+                .expect("names() lists the frame's own columns")
+        })
+        .collect();
+    let mut out = String::with_capacity(df.len() * (columns.len() * 8 + 1));
     for row in 0..df.len() {
-        let mut fields = Vec::with_capacity(df.width());
-        for name in df.names() {
-            let v = df.value(name, row).expect("in-range row and known column");
-            fields.push(escape(&v.to_string()));
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            // Writing into a `String` cannot fail.
+            let _ = match column {
+                Column::F64(v) => v[row].map_or(Ok(()), |x| write!(out, "{x}")),
+                Column::I64(v) => v[row].map_or(Ok(()), |x| write!(out, "{x}")),
+                Column::Bool(v) => v[row].map_or(Ok(()), |x| write!(out, "{x}")),
+                Column::Str(v) => {
+                    if let Some(s) = &v[row] {
+                        push_field(&mut out, s);
+                    }
+                    Ok(())
+                }
+            };
         }
-        out.push_str(&fields.join(","));
         out.push('\n');
     }
     out
@@ -1036,6 +1070,65 @@ mod tests {
     #[test]
     fn split_points_crlf_and_no_final_newline() {
         assert_split_equivalent("a,b\r\n1,2\r\n3,4\r\n5,6", false, &[2, 3]);
+    }
+
+    #[test]
+    fn write_renders_every_column_kind_to_pinned_bytes() {
+        // Literal bytes over all four column kinds, nulls in each, and
+        // string fields (and a column name) that need quoting.
+        let df = DataFrame::new()
+            .with_column(
+                "name, full",
+                Column::Str(vec![
+                    Some("plain".into()),
+                    Some("a,b".into()),
+                    Some("say \"hi\"".into()),
+                    Some("two\nlines".into()),
+                    None,
+                    Some(String::new()),
+                ]),
+            )
+            .unwrap()
+            .with_column(
+                "x",
+                Column::F64(vec![
+                    Some(1.5),
+                    None,
+                    Some(-0.0),
+                    Some(1e21),
+                    Some(0.1 + 0.2),
+                    Some(f64::NAN),
+                ]),
+            )
+            .unwrap()
+            .with_column(
+                "n",
+                Column::I64(vec![
+                    Some(-7),
+                    Some(i64::MAX),
+                    None,
+                    Some(0),
+                    Some(42),
+                    None,
+                ]),
+            )
+            .unwrap()
+            .with_column(
+                "flag",
+                Column::Bool(vec![Some(true), None, Some(false), None, Some(true), None]),
+            )
+            .unwrap();
+        let expected = "\"name, full\",x,n,flag\n\
+                        plain,1.5,-7,true\n\
+                        \"a,b\",,9223372036854775807,\n\
+                        \"say \"\"hi\"\"\",-0,,false\n\
+                        \"two\nlines\",1000000000000000000000,0,\n\
+                        ,0.30000000000000004,42,true\n\
+                        ,NaN,,\n";
+        assert_eq!(write(&df), expected);
+        let mut field = String::new();
+        push_field(&mut field, "\"");
+        assert_eq!(field, "\"\"\"\"");
     }
 
     #[test]

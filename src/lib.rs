@@ -18,7 +18,8 @@
 //!   figure, scenario sweeps (`analysis::fleet::scenario_sweep`) and
 //!   batch-slice sensitivity (`analysis::sensitivity::from_footprints`).
 //! - [`frame`] — columnar mini-dataframe and statistics substrate (session
-//!   results are exposed columnar via `easyc::AssessmentOutput::to_frame`).
+//!   results are exposed columnar via `easyc::AssessmentOutput::to_frame`;
+//!   the CSV artifact renders without a frame via `write_csv`).
 //! - [`parallel`] — std-only deterministic parallel execution substrate.
 //! - [`serve`] — the resident-assessment service: a std-only JSONL-over-TCP
 //!   front end over a warm `easyc::FleetState` (CLI `serve` / `query`).

@@ -51,7 +51,6 @@ use top500_carbon::analysis::report::{run_study, SweepCsvWriter};
 use top500_carbon::easyc::{
     Assessment, DrawPlan, FleetState, Interval, PartialAssessment, ScenarioDelta, ScenarioMatrix,
 };
-use top500_carbon::frame;
 use top500_carbon::serve::{self, ServeConfig};
 use top500_carbon::top500::io::{export_csv, import_csv, stream_csv, COLUMNS};
 use top500_carbon::top500::list::Top500List;
@@ -597,7 +596,7 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
         }
     }
     if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(path, frame::csv::write(&output.to_frame())) {
+        if let Err(e) = File::create(path).and_then(|file| output.write_csv(file)) {
             eprintln!("error: could not write {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use top500_carbon::analysis::interpolate::nearest_peer_interpolation;
+use top500_carbon::easyc::batch::FootprintCsv;
 use top500_carbon::easyc::{
     embodied, fold, operational, Assessment, DataScenario, DrawPlan, EasyC, EasyCConfig,
     EmbodiedEstimate, FleetColumns, FleetState, FleetView, MetricMask, OperationalEstimate,
@@ -399,12 +400,12 @@ proptest! {
         mask in arb_mask()
     ) {
         // The `--stream --out` parity contract at property scale: spilling
-        // each (scenario × chunk) row block through the shared
-        // footprints_frame + write_rows path and concatenating per
-        // scenario (matrix order) must reproduce the in-memory columnar
-        // CSV byte for byte, whatever the chunk budget or availability
-        // mask. (The file-backed SweepCsvWriter rides the same code path —
-        // its byte identity is pinned by tests/streaming.rs.)
+        // each (scenario × chunk) row block through the typed FootprintCsv
+        // writer and concatenating per scenario (matrix order) under its
+        // header must reproduce the in-memory columnar CSV byte for byte,
+        // whatever the chunk budget or availability mask. (The
+        // file-backed SweepCsvWriter rides the same code path — its byte
+        // identity is pinned by tests/streaming.rs.)
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
         let matrix = ScenarioMatrix::new()
             .with(DataScenario::full("full"))
@@ -412,25 +413,27 @@ proptest! {
         let expected = csv::write(
             &Assessment::of(&list).scenarios(&matrix).run().to_frame(),
         );
-        let mut spills = vec![String::new(); matrix.len()];
+        let mut writer = FootprintCsv::new();
+        let mut spills = vec![Vec::new(); matrix.len()];
         Assessment::stream(InMemoryChunks::new(&list, rows_per_chunk))
             .scenarios(&matrix)
             .rows(|block| {
-                spills[block.scenario_index].push_str(&csv::write_rows(
-                    &top500_carbon::easyc::batch::footprints_frame(
+                writer
+                    .write_rows(
+                        &mut spills[block.scenario_index],
                         &block.scenario.name,
                         block.footprints,
-                    ),
-                ));
+                    )
+                    .expect("writing to a Vec cannot fail");
             })
             .run()
             .expect("in-memory chunks cannot fail");
-        let mut pieced = csv::write_header(
-            &top500_carbon::easyc::batch::footprints_frame("", &[]),
-        );
+        let mut pieced = Vec::new();
+        writer.write_header(&mut pieced).expect("writing to a Vec cannot fail");
         for spill in &spills {
-            pieced.push_str(spill);
+            pieced.extend_from_slice(spill);
         }
+        let pieced = String::from_utf8(pieced).expect("the writer renders UTF-8");
         prop_assert_eq!(pieced, expected);
     }
 
