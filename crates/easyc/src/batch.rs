@@ -229,13 +229,7 @@ impl FootprintCsv {
 
     /// Writes the header line: the column names of the layout.
     pub fn write_header(&mut self, out: &mut impl io::Write) -> io::Result<()> {
-        for (i, name) in COLUMNS.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            push_field(&mut self.buf, name);
-        }
-        self.buf.push('\n');
+        self.push_header();
         self.hand_on(out)
     }
 
@@ -246,8 +240,7 @@ impl FootprintCsv {
         scenario: &str,
         footprints: &[SystemFootprint],
     ) -> io::Result<()> {
-        self.scenario.clear();
-        push_field(&mut self.scenario, scenario);
+        self.start_block(scenario);
         for fp in footprints {
             self.push_row(fp);
             if self.buf.len() >= FLUSH_BYTES {
@@ -255,6 +248,37 @@ impl FootprintCsv {
             }
         }
         self.hand_on(out)
+    }
+
+    /// Renders the header into the buffer.
+    pub(crate) fn push_header(&mut self) {
+        for (i, name) in COLUMNS.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            push_field(&mut self.buf, name);
+        }
+        self.buf.push('\n');
+    }
+
+    /// Renders one row per footprint into the buffer, every row tagged
+    /// `scenario`, without handing anything on.
+    pub(crate) fn push_rows(&mut self, scenario: &str, footprints: &[SystemFootprint]) {
+        self.start_block(scenario);
+        for fp in footprints {
+            self.push_row(fp);
+        }
+    }
+
+    /// Everything rendered and not yet handed on.
+    pub(crate) fn into_string(self) -> String {
+        self.buf
+    }
+
+    /// Quotes `scenario` once for the rows of the next block.
+    fn start_block(&mut self, scenario: &str) {
+        self.scenario.clear();
+        push_field(&mut self.scenario, scenario);
     }
 
     /// Renders one row into the buffer. Writing into a `String` cannot

@@ -469,6 +469,17 @@ impl SessionOutput<ScenarioSlice> {
         out.flush()
     }
 
+    /// The bytes [`write_csv`](SessionOutput::write_csv) writes, as one
+    /// `String` — for callers that send the artifact on as text.
+    pub fn to_csv(&self) -> String {
+        let mut csv = FootprintCsv::new();
+        csv.push_header();
+        for slice in &self.slices {
+            csv.push_rows(&slice.scenario.name, &slice.footprints);
+        }
+        csv.into_string()
+    }
+
     /// Consumes the output, returning the first scenario's footprints —
     /// the single-scenario convenience (empty when no scenario was
     /// assessed).

@@ -617,8 +617,9 @@ pub fn split_points(
 }
 
 /// Appends one field to `out`, quoted when it contains a separator, a
-/// quote or a newline (embedded quotes doubled). This is the one quoting
-/// rule of every CSV this workspace writes; it allocates nothing.
+/// quote or a newline (embedded quotes doubled). This is the quoting rule
+/// of [`write()`] and of the per-system artifact writer; it allocates
+/// nothing.
 pub fn push_field(out: &mut String, field: &str) {
     if !field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
         out.push_str(field);
@@ -635,18 +636,8 @@ pub fn push_field(out: &mut String, field: &str) {
 }
 
 /// Serialises a frame to CSV text (header + rows, `\n` separators, empty
-/// field for nulls). Equivalent to [`write_header`] followed by
-/// [`write_rows`] — streaming writers use the two halves directly to append
-/// chunk-at-a-time rows under a single header.
+/// field for nulls).
 pub fn write(df: &DataFrame) -> String {
-    let mut out = write_header(df);
-    out.push_str(&write_rows(df));
-    out
-}
-
-/// Serialises just the header line (column names, `\n`-terminated) of a
-/// frame. Byte-identical to the first line [`write()`] produces.
-pub fn write_header(df: &DataFrame) -> String {
     let mut out = String::new();
     for (i, name) in df.names().iter().enumerate() {
         if i > 0 {
@@ -655,45 +646,13 @@ pub fn write_header(df: &DataFrame) -> String {
         push_field(&mut out, name);
     }
     out.push('\n');
-    out
-}
-
-/// Serialises just the data rows (no header) of a frame. Byte-identical to
-/// what [`write()`] produces after its header line, so appending
-/// `write_rows` output of successive chunks under one [`write_header`]
-/// reproduces `write` over the concatenated frame exactly.
-///
-/// Columns are resolved once and every cell renders straight into the
-/// output: numbers and booleans through their `Display`, strings through
-/// [`push_field`], nulls as an empty field.
-pub fn write_rows(df: &DataFrame) -> String {
-    use std::fmt::Write as _;
-    let columns: Vec<&Column> = df
-        .names()
-        .iter()
-        .map(|name| {
-            df.column(name)
-                .expect("names() lists the frame's own columns")
-        })
-        .collect();
-    let mut out = String::with_capacity(df.len() * (columns.len() * 8 + 1));
     for row in 0..df.len() {
-        for (i, column) in columns.iter().enumerate() {
+        for (i, name) in df.names().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            // Writing into a `String` cannot fail.
-            let _ = match column {
-                Column::F64(v) => v[row].map_or(Ok(()), |x| write!(out, "{x}")),
-                Column::I64(v) => v[row].map_or(Ok(()), |x| write!(out, "{x}")),
-                Column::Bool(v) => v[row].map_or(Ok(()), |x| write!(out, "{x}")),
-                Column::Str(v) => {
-                    if let Some(s) = &v[row] {
-                        push_field(&mut out, s);
-                    }
-                    Ok(())
-                }
-            };
+            let v = df.value(name, row).expect("in-range row and known column");
+            push_field(&mut out, &v.to_string());
         }
         out.push('\n');
     }
@@ -1129,35 +1088,5 @@ mod tests {
         let mut field = String::new();
         push_field(&mut field, "\"");
         assert_eq!(field, "\"\"\"\"");
-    }
-
-    #[test]
-    fn header_plus_chunked_rows_byte_identical_to_whole_write() {
-        // The streaming-artifact contract: write_header + per-chunk
-        // write_rows must concatenate to exactly what `write` produces
-        // over the whole frame, quoting included.
-        let df = DataFrame::new()
-            .with_column(
-                "name",
-                Column::from_str_iter(vec![
-                    "plain".to_string(),
-                    "with, comma".to_string(),
-                    "with \"quote\"".to_string(),
-                    "multi\nline".to_string(),
-                ]),
-            )
-            .unwrap()
-            .with_column(
-                "x",
-                Column::F64(vec![Some(1.5), None, Some(-3.0), Some(0.25)]),
-            )
-            .unwrap();
-        let whole = write(&df);
-        let mut pieced = write_header(&df);
-        for row in 0..df.len() {
-            let chunk = df.take(&[row]).unwrap();
-            pieced.push_str(&write_rows(&chunk));
-        }
-        assert_eq!(pieced, whole);
     }
 }

@@ -660,14 +660,7 @@ fn op_sweep(value: &Value, shared: &Shared) -> String {
     };
     // The same per-(scenario, system) CSV `sweep --out` writes — byte
     // identical, which is what the CI smoke diffs.
-    let mut bytes = Vec::new();
-    let csv = match output
-        .write_csv(&mut bytes)
-        .and_then(|()| String::from_utf8(bytes).map_err(std::io::Error::other))
-    {
-        Ok(csv) => csv,
-        Err(e) => return error_line("internal-error", &e.to_string()),
-    };
+    let csv = output.to_csv();
     Obj::new()
         .field_bool("ok", true)
         .field_str("op", "sweep")

@@ -1,7 +1,7 @@
 //! The per-(scenario, system) CSV artifact has three writers — the
 //! streamed spill (`SweepCsvWriter`, behind `sweep --stream --out`),
-//! `SessionOutput::write_csv` (behind `sweep --out`) and the served
-//! sweep's `csv` field — and one oracle, `frame::csv::write` over
+//! `SessionOutput::write_csv` (behind `sweep --out`) and
+//! `SessionOutput::to_csv` (the served sweep's `csv` field) — and one oracle, `frame::csv::write` over
 //! `to_frame`. All four must agree byte for byte on fields that need
 //! quoting: a scenario name with a comma and quotes, and error notes.
 
@@ -58,6 +58,7 @@ fn every_artifact_writer_quotes_identically() {
     let mut written = Vec::new();
     output.write_csv(&mut written).unwrap();
     assert_eq!(String::from_utf8(written).unwrap(), oracle, "write_csv");
+    assert_eq!(output.to_csv(), oracle, "to_csv");
 
     for rows in [1usize, 7, 90] {
         let target = std::env::temp_dir().join(format!(
